@@ -66,6 +66,15 @@ class StepCoefficients:
     b: np.ndarray
 
 
+def affine_kind(kind: str) -> str:
+    """The affine kind whose exact law stands in for sampler ``kind``.
+
+    Clip-enabled accelerated maps to its no-clip variant (see the module
+    docstring); every other kind maps to itself.
+    """
+    return "accelerated_noclip" if kind == "accelerated" else kind
+
+
 def target_law(target: GaussianMixture) -> GaussianLaw:
     """The single-Gaussian law of a one-component mixture target."""
     if target.K != 1:

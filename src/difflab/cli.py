@@ -51,9 +51,8 @@ def cmd_analytic(args) -> int:
     target = targets.load_target(args.target)
     law_target = analytic.target_law(target)
     s = build_schedule(_schedule_params(args, target.d))
-    kind = "accelerated_noclip" if args.sampler == "accelerated" else args.sampler
     p_x1 = analytic.forward_law(law_target, s, 1)
-    p_y1 = analytic.propagate(s, law_target, kind)
+    p_y1 = analytic.propagate(s, law_target, analytic.affine_kind(args.sampler))
     kl = analytic.gaussian_kl(p_x1, p_y1)
     tv = analytic.gaussian_tv_bound(p_x1, p_y1)
     with open(args.out, "w") as fh:

@@ -6,7 +6,7 @@ class DiffLabError(Exception):
 
 
 class InvalidParams(DiffLabError):
-    """Schedule parameters violate their constraints."""
+    """Parameters or values violate their constraints."""
 
 
 class ScheduleDegenerate(DiffLabError):

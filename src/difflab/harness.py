@@ -111,6 +111,16 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"unknown sampler {kind!r}")
         if self.score.get("mode", "exact") not in ("exact", "offset", "relative"):
             raise ConfigInvalid(f"unknown score mode {self.score.get('mode')!r}")
+        try:
+            levels = _score_cells(self.score)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad score config {self.score!r}: {exc}") from exc
+        if not levels:
+            raise ConfigInvalid("score error level list must not be empty")
+        if self.n_dirs < 1:
+            raise ConfigInvalid("n_dirs must be >= 1")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -193,9 +203,8 @@ def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
     is_gaussian = target.K == 1
     if is_gaussian and model.mode == "exact":
         law_target = analytic.target_law(target)
-        analytic_kind = "accelerated_noclip" if kind == "accelerated" else kind
         p_x1 = analytic.forward_law(law_target, schedule, 1)
-        p_y1 = analytic.propagate(schedule, law_target, analytic_kind)
+        p_y1 = analytic.propagate(schedule, law_target, analytic.affine_kind(kind))
         row["kl_analytic"] = analytic.gaussian_kl(p_x1, p_y1)
         row["tv_bound"] = analytic.gaussian_tv_bound(p_x1, p_y1)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import targets
 from .analytic import GaussianLaw, gaussian_kl
-from .errors import DegenerateCovariance, TooFewSamples
+from .errors import DegenerateCovariance, InvalidParams, TooFewSamples
 from .targets import MarginalLaw
 
 _MIN_SAMPLES = 1000
@@ -59,7 +59,7 @@ def sliced_tv(batch, law: MarginalLaw, n_dirs: int = 32,
         raise TooFewSamples(f"sliced distance needs >= {_MIN_SAMPLES} samples, got {n}")
     if directions is None:
         if stream is None:
-            raise ValueError("provide either a stream or explicit directions")
+            raise InvalidParams("provide either a stream or explicit directions")
         directions = random_directions(y.shape[1], n_dirs, stream)
     grid_lo = np.arange(n) / n
     grid_hi = np.arange(1, n + 1) / n

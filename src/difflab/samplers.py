@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, IndexOutOfRange, UnsupportedKind
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
 from .schedule import Schedule
 from .score_oracle import ScoreModel
 
@@ -48,7 +48,7 @@ class TrajectoryBatch:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.y1)):
-            raise ValueError("trajectory outputs contain non-finite values")
+            raise InvalidParams("trajectory outputs contain non-finite values")
         self.y1.setflags(write=False)
 
 
@@ -178,7 +178,7 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
     if n < 1:
-        raise ValueError("trajectory count must be >= 1")
+        raise InvalidParams("trajectory count must be >= 1")
     spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     if jobs > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -38,7 +38,11 @@ class EpsReport:
 
 @dataclass(frozen=True)
 class ScoreModel:
-    """Immutable score evaluator over a fixed target and schedule."""
+    """Immutable score evaluator over a fixed target and schedule.
+
+    The noised marginal of step t is built on its first use and cached;
+    the cache is not part of the model's value.
+    """
 
     mode: str
     target: GaussianMixture
@@ -46,7 +50,8 @@ class ScoreModel:
     delta: np.ndarray | None = None       # (T,), offset mode
     rho: float = 0.0                      # relative mode
     directions: np.ndarray | None = None  # (T, d), offset mode
-    _marginals: tuple[MarginalLaw, ...] = field(default=(), repr=False)
+    _marginals: dict[int, MarginalLaw] = field(default_factory=dict, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -55,11 +60,6 @@ class ScoreModel:
             raise DimensionMismatch(
                 f"target dimension {self.target.d} != schedule dimension {self.schedule.d}"
             )
-        laws = tuple(
-            targets.forward_marginal(self.target, self.schedule, t)
-            for t in range(1, self.schedule.T + 1)
-        )
-        object.__setattr__(self, "_marginals", laws)
         if self.mode == "offset":
             if self.delta is None or self.delta.shape != (self.schedule.T,):
                 raise InvalidParams("offset mode needs a per-step delta array of length T")
@@ -103,7 +103,11 @@ class ScoreModel:
     def marginal(self, t: int) -> MarginalLaw:
         if not (1 <= t <= self.schedule.T):
             raise IndexOutOfRange(f"score step {t} outside [1, {self.schedule.T}]")
-        return self._marginals[t - 1]
+        law = self._marginals.get(t)
+        if law is None:
+            law = targets.forward_marginal(self.target, self.schedule, t)
+            self._marginals[t] = law
+        return law
 
     def evaluate(self, t: int, x: np.ndarray) -> np.ndarray:
         """s_t(x); accepts a single vector (d,) or a batch (n, d)."""

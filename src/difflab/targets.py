@@ -17,8 +17,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import logsumexp, ndtr
+from scipy.linalg import cholesky
+from scipy.special import ndtr
 
 from .errors import (
     DimensionMismatch,
@@ -37,8 +37,9 @@ class GaussianMixture:
     """Weights, means, and covariances of a finite Gaussian mixture.
 
     Weights must be positive and sum to 1 within 1e-12; every covariance
-    must admit a Cholesky factorization.  Factors are cached on
-    construction so score evaluation is O(K * d^2) per point.
+    must admit a Cholesky factorization.  Factors, precisions and
+    log-coefficients are cached on construction so score evaluation is
+    O(K * d^2) per point.
     """
 
     weights: np.ndarray   # (K,)
@@ -70,12 +71,18 @@ class GaussianMixture:
             chols = np.stack([cholesky(c[i], lower=True) for i in range(k)])
         except np.linalg.LinAlgError as exc:
             raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
-        object.__setattr__(self, "_chols", chols)
-        # log N(x; m, C) normalizer per component
+        # P = C^-1 = L^-T L^-1, symmetrized: the kernel's row form diff @ P
+        # stands for P @ diff
+        chol_invs = np.linalg.inv(chols)
+        precisions = np.matmul(np.transpose(chol_invs, (0, 2, 1)), chol_invs)
+        precisions = 0.5 * (precisions + np.transpose(precisions, (0, 2, 1)))
+        # log w + log of the N(x; m, C) normalizer, per component
         log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=1, axis2=2))).sum(axis=1)
-        object.__setattr__(self, "_log_norms", -0.5 * (d * _LOG_2PI + log_dets))
-        arrs = (w, m, c, chols)
-        for a in arrs:
+        log_coefs = np.log(w) - 0.5 * (d * _LOG_2PI + log_dets)
+        object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_precisions", precisions)
+        object.__setattr__(self, "_log_coefs", log_coefs)
+        for a in (w, m, c, chols, precisions, log_coefs):
             a.setflags(write=False)
 
     @property
@@ -156,42 +163,44 @@ def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _component_log_pdfs(mix: GaussianMixture, x: np.ndarray) -> np.ndarray:
-    """log w_i + log N(x; m_i, C_i), shape (n, K)."""
-    n = x.shape[0]
-    out = np.empty((n, mix.K))
-    for i in range(mix.K):
-        diff = x - mix.means[i]
-        sol = solve_triangular(mix._chols[i], diff.T, lower=True)
-        maha = np.sum(sol**2, axis=0)
-        out[:, i] = np.log(mix.weights[i]) + mix._log_norms[i] - 0.5 * maha
-    return out
+def _component_terms(mix: GaussianMixture, x: np.ndarray):
+    """All components of a batch in one pass.
+
+    Returns (top, scaled, pdiff): the per-point max over components of
+    log w_k + log N(x; m_k, C_k), shape (n,); exp of those log-pdfs minus
+    top, shape (K, n); and P_k (x - m_k), shape (K, n, d).
+    """
+    diff = x[None, :, :] - mix.means[:, None, :]
+    pdiff = np.matmul(diff, mix._precisions)
+    log_pdfs = mix._log_coefs[:, None] - 0.5 * np.einsum("knd,knd->kn", diff, pdiff)
+    # clamped so that a point where every log-pdf is -inf (its Mahalanobis
+    # terms overflow) gets log-density -inf rather than nan
+    top = np.maximum(log_pdfs.max(axis=0), -np.finfo(float).max)
+    return top, np.exp(log_pdfs - top), pdiff
 
 
 def log_density(law: MarginalLaw | GaussianMixture, x):
-    """Mixture log-density via log-sum-exp; finite for all finite x."""
+    """Mixture log-density via a max-shifted log-sum-exp; finite for all
+    finite x."""
     mix = law.mixture if isinstance(law, MarginalLaw) else law
     xb, single = _as_batch(x, mix.d)
-    values = logsumexp(_component_log_pdfs(mix, xb), axis=1)
+    top, scaled, _ = _component_terms(mix, xb)
+    values = top + np.log(scaled.sum(axis=0))
     return float(values[0]) if single else values
 
 
 def score(law: MarginalLaw | GaussianMixture, x):
-    """Gradient of the mixture log-density at x.
+    """Gradient of the mixture log-density at x: -sum_k r_k P_k (x - m_k).
 
-    Posterior responsibilities are formed in log-space; components that
-    underflow contribute exactly zero weight.
+    Posterior responsibilities r_k are a max-shifted softmax over the
+    components' log-pdfs; components that underflow contribute exactly
+    zero weight.
     """
     mix = law.mixture if isinstance(law, MarginalLaw) else law
     xb, single = _as_batch(x, mix.d)
-    log_pdfs = _component_log_pdfs(mix, xb)
-    log_total = logsumexp(log_pdfs, axis=1, keepdims=True)
-    resp = np.exp(log_pdfs - log_total)  # (n, K)
-    out = np.zeros_like(xb)
-    for i in range(mix.K):
-        diff = xb - mix.means[i]
-        grad_i = -cho_solve((mix._chols[i], True), diff.T).T
-        out += resp[:, i:i + 1] * grad_i
+    _, scaled, pdiff = _component_terms(mix, xb)
+    resp = scaled / scaled.sum(axis=0)
+    out = -np.einsum("kn,knd->nd", resp, pdiff)
     return out[0] if single else out
 
 

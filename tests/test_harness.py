@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from difflab import ExperimentConfig, fit_slope, run_sweep
+from difflab.cli import main
 from difflab.errors import ConfigInvalid, InsufficientPoints, NonpositiveValue
 from difflab.harness import CSV_HEADER
 
@@ -84,6 +85,26 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, samplers=["euler"])
     with pytest.raises(ConfigInvalid):
         make_config(tmp_path, score={"mode": "mystery"})
+
+
+@pytest.mark.parametrize("override", [
+    {"n_dirs": 0},
+    {"seed": -1},
+    {"score": {"mode": "offset", "delta": []}},
+    {"score": {"mode": "relative", "rho": []}},
+    {"score": {"mode": "offset"}},
+], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta"])
+def test_config_rejected_before_header(tmp_path, override):
+    out = tmp_path / "sweep.csv"
+    raw = {"target": write_target(tmp_path), "T_grid": [8, 16], "samplers": ["ddpm"],
+           "n": 2000, "n_dirs": 4, "seed": 123, "out": str(out), **override}
+    with pytest.raises(ConfigInvalid):
+        ExperimentConfig.from_dict(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigInvalid):
+        main(["sweep", "--config", str(cfg_path), "--jobs", "1"])
+    assert not out.exists()
 
 
 def test_single_cell_sweep_skips_slopes(tmp_path):

@@ -12,7 +12,7 @@ from difflab import (
     sliced_tv,
     standard_normal_target,
 )
-from difflab.errors import DegenerateCovariance, TooFewSamples
+from difflab.errors import DegenerateCovariance, InvalidParams, TooFewSamples
 from difflab.metrics import fit_gaussian, law_moments, random_directions
 from difflab.targets import forward_marginal, sample, sample_forward
 
@@ -60,6 +60,12 @@ def test_sliced_tv_too_few_samples():
     target, s, law = stationary_law()
     with pytest.raises(TooFewSamples):
         sliced_tv(np.zeros((999, 2)), law, n_dirs=2, stream=np.random.default_rng(0))
+
+
+def test_sliced_tv_needs_stream_or_directions():
+    target, s, law = stationary_law()
+    with pytest.raises(InvalidParams):
+        sliced_tv(np.zeros((1000, 2)), law, n_dirs=2)
 
 
 def test_sliced_tv_rotation_invariant():

@@ -13,8 +13,8 @@ from difflab import (
     run_batch,
     standard_normal_target,
 )
-from difflab.errors import DimensionMismatch, IndexOutOfRange, UnsupportedKind
-from difflab.samplers import _noise_rows, _row_words
+from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
+from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words
 from difflab.schedule import Schedule, clip as schedule_clip
 
 
@@ -231,3 +231,13 @@ def test_run_batch_unknown_kind():
     model = ScoreModel.exact(standard_normal_target(1), s)
     with pytest.raises(UnsupportedKind):
         run_batch("euler", s, model, 10, seed=0)
+
+
+def test_bad_batches_raise_difflab_errors():
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=1))
+    model = ScoreModel.exact(standard_normal_target(1), s)
+    with pytest.raises(InvalidParams):
+        run_batch("ode", s, model, 0, seed=0)
+    with pytest.raises(InvalidParams):
+        TrajectoryBatch(n=2, d=1, y1=np.array([[0.0], [np.nan]]),
+                        clip_activations=0, rng_seed=0)

@@ -1,9 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from difflab import ScheduleParams, ScoreModel, build_schedule, standard_normal_target
+from difflab import (
+    ScheduleParams,
+    ScoreModel,
+    build_schedule,
+    standard_normal_target,
+    targets,
+)
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from difflab.targets import GaussianMixture
 
@@ -131,3 +138,39 @@ def test_from_config():
     assert m.delta.shape == (16,)
     m = ScoreModel.from_config(target, s, {"mode": "relative", "rho": -0.2})
     assert m.rho == -0.2
+
+
+def test_marginals_built_on_first_use(monkeypatch):
+    real = targets.forward_marginal
+    calls = []
+
+    def counting(target, schedule, t):
+        calls.append(t)
+        return real(target, schedule, t)
+
+    monkeypatch.setattr(targets, "forward_marginal", counting)
+    long = build_schedule(ScheduleParams(T=16384, c0=2.0, c1=2.5, d=2))
+    ScoreModel.exact(standard_normal_target(2), long)
+    assert calls == []
+
+    s = setup_schedule()
+    gm = GaussianMixture(
+        np.array([0.4, 0.6]),
+        np.array([[1.0, 0.5], [-1.0, 0.0]]),
+        np.stack([np.eye(2), np.array([[0.5, 0.1], [0.1, 0.7]])]),
+    )
+    model = ScoreModel.exact(gm, s)
+    x = np.array([[0.3, -0.4], [1.2, 0.8]])
+    first = model.evaluate(5, x)
+    assert np.array_equal(model.evaluate(5, x), first)
+    assert calls == [5]
+
+    law, expected = model.marginal(9), real(gm, s, 9)
+    assert law.t == expected.t == 9
+    assert np.array_equal(law.mixture.weights, expected.mixture.weights)
+    assert np.array_equal(law.mixture.means, expected.mixture.means)
+    assert np.array_equal(law.mixture.covariances, expected.mixture.covariances)
+
+    clone = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(clone.evaluate(5, x), first)
+    assert np.array_equal(clone.evaluate(7, x), model.evaluate(7, x))

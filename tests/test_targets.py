@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from difflab import (
     GaussianMixture,
@@ -197,6 +199,63 @@ def test_score_batch_consistent_with_single():
     batch = score(gm, xs)
     for i in range(10):
         assert np.allclose(batch[i], score(gm, xs[i]))
+
+
+def reference_terms(gm, x):
+    """Per-component loop: log w_k + log N(x; m_k, C_k), shape (n, K), and
+    the component gradients -C_k^-1 (x - m_k), shape (K, n, d)."""
+    log_pdfs, grads = [], []
+    for w, m, c in zip(gm.weights, gm.means, gm.covariances):
+        factor = cho_factor(c, lower=True)
+        diff = x - m
+        sol = cho_solve(factor, diff.T).T
+        log_det = 2.0 * np.sum(np.log(np.diag(factor[0])))
+        log_pdfs.append(math.log(w) - 0.5 * (gm.d * math.log(2 * math.pi) + log_det)
+                        - 0.5 * np.sum(diff * sol, axis=1))
+        grads.append(-sol)
+    return np.stack(log_pdfs, axis=1), np.stack(grads)
+
+
+def reference_score_and_log_density(gm, x):
+    log_pdfs, grads = reference_terms(gm, x)
+    log_total = logsumexp(log_pdfs, axis=1, keepdims=True)
+    resp = np.exp(log_pdfs - log_total)
+    return np.einsum("nk,knd->nd", resp, grads), log_total[:, 0]
+
+
+def test_batched_kernel_matches_per_component_reference():
+    rng = np.random.default_rng(31)
+    for d in range(1, 5):
+        for K in range(1, 5):
+            for _ in range(5):
+                gm = random_mixture(rng, d, K)
+                # points out to about 3 sigma around the mixture
+                x = gm.means[rng.integers(0, K, 64)] + rng.uniform(-3, 3, (64, d))
+                ref_score, ref_logp = reference_score_and_log_density(gm, x)
+                scale = np.max(np.abs(ref_score))
+                np.testing.assert_allclose(score(gm, x), ref_score,
+                                           rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(log_density(gm, x), ref_logp, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(ref_logp)))
+
+
+def test_score_far_tail_single_surviving_component():
+    gm = GaussianMixture(
+        np.array([0.2, 0.5, 0.3]),
+        np.array([[-2.0, 0.0], [2.0, 1.0], [0.0, -3.0]]),
+        np.array([[[1.0, 0.3], [0.3, 0.6]], np.eye(2), [[0.8, 0.0], [0.0, 1.5]]]),
+    )
+    x = np.array([[400.0, 20.0]])
+    log_pdfs, grads = reference_terms(gm, x)
+    top = int(np.argmax(log_pdfs[0]))
+    others = np.delete(log_pdfs[0], top) - log_pdfs[0, top]
+    assert np.all(np.exp(others) == 0.0)  # every other responsibility underflows
+    value = score(gm, x)
+    assert np.all(np.isfinite(value))
+    np.testing.assert_allclose(value, grads[top], rtol=1e-12)
+    assert math.isfinite(float(log_density(gm, x)[0]))
+    with np.errstate(over="ignore", divide="ignore"):  # every Mahalanobis term overflows
+        assert log_density(gm, np.array([1e160, 0.0])) == -math.inf
 
 
 def test_sampling_deterministic_and_moment_sane():
