@@ -8,9 +8,7 @@ convergence slopes.
 """
 
 from .analytic import (
-    GaussianLaw,
     affine_step_coefficients,
-    forward_law,
     gaussian_kl,
     gaussian_tv_bound,
     propagate,
@@ -38,7 +36,6 @@ from .schedule import (
 from .score_oracle import EpsReport, ScoreModel
 from .targets import (
     GaussianMixture,
-    MarginalLaw,
     forward_marginal,
     gaussian_target,
     load_target,
@@ -53,15 +50,14 @@ from .targets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport", "EpsReport", "ExperimentConfig", "GaussianLaw",
-    "GaussianMixture", "KINDS", "MarginalLaw", "MetricReport", "Schedule",
-    "ScheduleParams", "ScoreModel", "SlopeFit", "SweepReport",
-    "TrajectoryBatch", "accelerated_step", "affine_step_coefficients",
-    "build_schedule", "clip", "ddpm_step", "fit_slope", "forward_law",
-    "forward_marginal", "full_report", "gaussian_kl", "gaussian_target",
-    "gaussian_tv_bound", "load_target", "log_density", "moment_kl",
-    "ode_step", "projected_cdf", "propagate", "run_batch", "run_sweep",
-    "sample_forward", "sample_target", "scalar_propagate",
+    "CheckReport", "EpsReport", "ExperimentConfig", "GaussianMixture",
+    "KINDS", "MetricReport", "Schedule", "ScheduleParams", "ScoreModel",
+    "SlopeFit", "SweepReport", "TrajectoryBatch", "accelerated_step",
+    "affine_step_coefficients", "build_schedule", "clip", "ddpm_step",
+    "fit_slope", "forward_marginal", "full_report", "gaussian_kl",
+    "gaussian_target", "gaussian_tv_bound", "load_target", "log_density",
+    "moment_kl", "ode_step", "projected_cdf", "propagate", "run_batch",
+    "run_sweep", "sample_forward", "sample_target", "scalar_propagate",
     "schedule_lemma_checks", "score", "sliced_tv", "standard_normal_target",
     "target_law",
 ]

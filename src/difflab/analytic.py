@@ -6,8 +6,9 @@ law of every iterate is Gaussian.  This module composes those maps symbol-
 ically, yielding the exact law of the final iterate with no Monte Carlo
 noise; it is the oracle behind the convergence-rate checks.
 
-Closed-form divergences between Gaussian laws live here too, with the
-total-variation surrogate min(1, sqrt(KL / 2)).
+Every law here is a one-component ``GaussianMixture``.  Closed-form
+divergences between Gaussian laws live here too, with the total-variation
+surrogate min(1, sqrt(KL / 2)).
 
 The clip-enabled accelerated variant is nonlinear and unsupported; the
 accompanying measurement of how rarely clip fires (see the test suite)
@@ -24,36 +25,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidParams, SingularCovariance, UnsupportedKind
 from .schedule import Schedule
-from .targets import GaussianMixture
+from .targets import GaussianMixture, gaussian_target
 
 AFFINE_KINDS = ("accelerated_noclip", "ddpm", "ode")
-
-
-@dataclass(frozen=True)
-class GaussianLaw:
-    """A mean vector and a symmetric positive-semidefinite covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        d = mean.size
-        if cov.shape != (d, d):
-            raise InvalidParams(f"covariance shape {cov.shape} does not match dimension {d}")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise InvalidParams("covariance must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
-            raise InvalidParams("covariance has an eigenvalue below -1e-10")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-
-    @property
-    def d(self) -> int:
-        return self.mean.size
 
 
 @dataclass(frozen=True)
@@ -75,37 +49,29 @@ def affine_kind(kind: str) -> str:
     return "accelerated_noclip" if kind == "accelerated" else kind
 
 
-def target_law(target: GaussianMixture) -> GaussianLaw:
-    """The single-Gaussian law of a one-component mixture target."""
+def target_law(target: GaussianMixture) -> GaussianMixture:
+    """The target itself, once it is checked to be a single Gaussian."""
     if target.K != 1:
         raise UnsupportedKind("exact propagation requires a single-Gaussian target")
-    return GaussianLaw(mean=target.means[0].copy(), cov=target.covariances[0].copy())
+    return target
 
 
-def forward_law(target: GaussianLaw, s: Schedule, t: int) -> GaussianLaw:
-    """Law of the noised data at step t for a Gaussian target."""
-    if t == 0:
-        return target
+def _score_coefficients(target: GaussianMixture, s: Schedule, t: int):
+    """(S, c) with exact score s_t(x) = S x + c at step t >= 1."""
     abar = s.alpha_bar_at(t)
-    eye = np.eye(target.d)
-    return GaussianLaw(mean=np.sqrt(abar) * target.mean,
-                       cov=abar * target.cov + (1.0 - abar) * eye)
+    cov = abar * target.covariances[0] + (1.0 - abar) * np.eye(target.d)
+    cov_inv = np.linalg.inv(cov)
+    return -cov_inv, cov_inv @ (np.sqrt(abar) * target.means[0])
 
 
-def _score_coefficients(target: GaussianLaw, s: Schedule, t: int):
-    """(S, c) with exact score s_t(x) = S x + c at step t."""
-    law = forward_law(target, s, t)
-    cov_inv = np.linalg.inv(law.cov)
-    return -cov_inv, cov_inv @ law.mean
-
-
-def affine_step_coefficients(s: Schedule, target: GaussianLaw, t: int,
+def affine_step_coefficients(s: Schedule, target: GaussianMixture, t: int,
                              kind: str) -> StepCoefficients:
     """Exact affine form of one sampler step under exact linear scores.
 
-    Only the no-clip variants are affine; requesting the clip-enabled
-    accelerated kind raises UnsupportedKind.
+    Only the no-clip variants are affine, and only for a single-Gaussian
+    target; anything else raises UnsupportedKind.
     """
+    target_law(target)
     if kind not in AFFINE_KINDS:
         raise UnsupportedKind(
             f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})"
@@ -143,7 +109,7 @@ def affine_step_coefficients(s: Schedule, target: GaussianLaw, t: int,
     return StepCoefficients(A=A, B=B, D=D, b=b)
 
 
-def propagate(s: Schedule, target: GaussianLaw, kind: str) -> GaussianLaw:
+def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixture:
     """Exact law of the final iterate Y_1, starting from Y_T ~ N(0, I).
 
     Applies mean <- A mean + b and cov <- A cov A' + B B' + D D' for
@@ -157,11 +123,12 @@ def propagate(s: Schedule, target: GaussianLaw, kind: str) -> GaussianLaw:
         mean = c.A @ mean + c.b
         cov = c.A @ cov @ c.A.T + c.B @ c.B.T + c.D @ c.D.T
         cov = 0.5 * (cov + cov.T)
-    return GaussianLaw(mean=mean, cov=cov)
+    return gaussian_target(mean, cov)
 
 
-def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
-    """KL(p || q) between Gaussian laws; q must be positive-definite.
+def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:
+    """KL(p || q) between Gaussian laws; a mixture enters by its overall
+    mean and covariance, and q must be positive-definite.
 
     0.5 * [tr(Cq^-1 Cp) + (mq - mp)' Cq^-1 (mq - mp) - d
            + log det Cq - log det Cp]
@@ -182,7 +149,7 @@ def gaussian_kl(p: GaussianLaw, q: GaussianLaw) -> float:
     return 0.5 * (trace + maha - p.d + logdet_q - float(logdet_p))
 
 
-def gaussian_tv_bound(p: GaussianLaw, q: GaussianLaw) -> float:
+def gaussian_tv_bound(p: GaussianMixture, q: GaussianMixture) -> float:
     """Total-variation surrogate min(1, sqrt(KL(p || q) / 2))."""
     kl = max(gaussian_kl(p, q), 0.0)
     return min(1.0, math.sqrt(kl / 2.0))

@@ -7,7 +7,13 @@ import sys
 
 from . import analytic, harness, targets
 from .samplers import run_batch
-from .schedule import ScheduleParams, build_schedule
+from .schedule import (
+    DEFAULT_C0,
+    DEFAULT_C1,
+    DEFAULT_C_CLIP,
+    ScheduleParams,
+    build_schedule,
+)
 from .score_oracle import ScoreModel
 
 
@@ -48,13 +54,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    target = targets.load_target(args.target)
-    law_target = analytic.target_law(target)
+    target = analytic.target_law(targets.load_target(args.target))
     s = build_schedule(_schedule_params(args, target.d))
-    p_x1 = analytic.forward_law(law_target, s, 1)
-    p_y1 = analytic.propagate(s, law_target, analytic.affine_kind(args.sampler))
-    kl = analytic.gaussian_kl(p_x1, p_y1)
-    tv = analytic.gaussian_tv_bound(p_x1, p_y1)
+    law_1 = targets.forward_marginal(target, s, 1)
+    p_y1 = analytic.propagate(s, target, analytic.affine_kind(args.sampler))
+    kl = analytic.gaussian_kl(law_1, p_y1)
+    tv = analytic.gaussian_tv_bound(law_1, p_y1)
     with open(args.out, "w") as fh:
         fh.write("sampler,T,d,kl,tv_bound\n")
         fh.write(f"{args.sampler},{args.T},{target.d},{_fmt(kl)},{_fmt(tv)}\n")
@@ -73,9 +78,9 @@ def cmd_sweep(args) -> int:
 
 
 def _add_schedule_constants(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", type=float, default=4.0)
-    p.add_argument("--c1", type=float, default=4.0)
-    p.add_argument("--cclip", type=float, default=2.0)
+    p.add_argument("--c0", type=float, default=DEFAULT_C0)
+    p.add_argument("--c1", type=float, default=DEFAULT_C1)
+    p.add_argument("--cclip", type=float, default=DEFAULT_C_CLIP)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, metrics, targets
-from .errors import (
-    ConfigInvalid,
-    InsufficientPoints,
-    NonpositiveValue,
-    ScheduleDegenerate,
-)
+from .errors import ConfigInvalid, DiffLabError, InsufficientPoints, NonpositiveValue
 from .samplers import KINDS, run_batch
 from .schedule import (
     DEFAULT_C0,
@@ -175,8 +170,44 @@ def _cell_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
+def _wants_mc(cfg: ExperimentConfig, target: GaussianMixture, mode: str) -> bool:
+    """Whether a cell runs Monte Carlo: as configured, else for mixtures
+    and error-injected scores."""
+    return cfg.mc if cfg.mc is not None else (target.K != 1 or mode != "exact")
+
+
+def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
+                  kind: str, T: int, score_cfg: dict) -> dict:
+    """The metric fields of one cell's row; raises on any cell failure."""
+    params = ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip, d=target.d)
+    schedule = build_schedule(params)
+    model = ScoreModel.from_config(target, schedule, score_cfg)
+    if model.mode == "relative":
+        eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        eps = model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score
+    else:
+        eps = model.eps_score().eps_score
+    out = {"eps_score": eps}
+
+    law_1 = targets.forward_marginal(target, schedule, 1)
+    if target.K == 1 and model.mode == "exact":
+        p_y1 = analytic.propagate(schedule, target, analytic.affine_kind(kind))
+        out["kl_analytic"] = analytic.gaussian_kl(law_1, p_y1)
+        out["tv_bound"] = analytic.gaussian_tv_bound(law_1, p_y1)
+
+    if _wants_mc(cfg, target, model.mode):
+        batch = run_batch(kind, schedule, model, cfg.n, seed)
+        dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+        out["sliced_tv"], _ = metrics.sliced_tv(batch, law_1, cfg.n_dirs, dir_stream)
+        out["moment_kl"] = metrics.moment_kl(batch, law_1)
+        out["clip_rate"] = batch.clip_activations / (cfg.n * (T - 1))
+    return out
+
+
 def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
               kind: str, T: int, score_cfg: dict) -> dict:
+    """One grid cell as a CSV row; any DiffLabError fails the cell alone,
+    leaving its metric fields empty."""
     start = time.perf_counter()
     seed = _cell_seed(cfg.seed, index)
     row = {"sampler": kind, "T": T, "d": target.d, "eps_score": None,
@@ -184,39 +215,9 @@ def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
            "moment_kl": None, "clip_rate": None, "seed": seed,
            "wallclock_ms": None, "error": None}
     try:
-        params = ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip,
-                                d=target.d)
-        schedule = build_schedule(params)
-    except ScheduleDegenerate as exc:
+        row.update(_cell_metrics(target, cfg, seed, kind, T, score_cfg))
+    except DiffLabError as exc:
         row["error"] = str(exc)
-        row["wallclock_ms"] = (time.perf_counter() - start) * 1e3
-        return row
-
-    model = ScoreModel.from_config(target, schedule, score_cfg)
-    if model.mode == "relative":
-        eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        eps = model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score
-    else:
-        eps = model.eps_score().eps_score
-    row["eps_score"] = eps
-
-    is_gaussian = target.K == 1
-    if is_gaussian and model.mode == "exact":
-        law_target = analytic.target_law(target)
-        p_x1 = analytic.forward_law(law_target, schedule, 1)
-        p_y1 = analytic.propagate(schedule, law_target, analytic.affine_kind(kind))
-        row["kl_analytic"] = analytic.gaussian_kl(p_x1, p_y1)
-        row["tv_bound"] = analytic.gaussian_tv_bound(p_x1, p_y1)
-
-    want_mc = cfg.mc if cfg.mc is not None else (not is_gaussian or model.mode != "exact")
-    if want_mc:
-        batch = run_batch(kind, schedule, model, cfg.n, seed)
-        law_1 = targets.forward_marginal(target, schedule, 1)
-        dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        mean_tv, _ = metrics.sliced_tv(batch, law_1, cfg.n_dirs, dir_stream)
-        row["sliced_tv"] = mean_tv
-        row["moment_kl"] = metrics.moment_kl(batch, law_1)
-        row["clip_rate"] = batch.clip_activations / (cfg.n * (T - 1))
     row["wallclock_ms"] = (time.perf_counter() - start) * 1e3
     return row
 
@@ -238,17 +239,22 @@ def _row_line(row: dict) -> str:
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
     """Execute the full grid, stream rows to the CSV, and fit slopes.
 
-    A degenerate schedule fails its cell (empty metric fields plus a
-    comment line), not the sweep.  Rows are written in grid order no
-    matter which cells finish first.
+    A cell that raises a DiffLabError (a degenerate schedule, say) fails
+    alone: empty metric fields plus a comment line.  Rows are written in
+    grid order no matter which cells finish first.
     """
     target = targets.load_target(cfg.target_path)
     for T in cfg.T_grid:
         if not targets.check_second_moment(target, T):
             raise ConfigInvalid("target second moment exceeds the horizon bound")
+    score_cells = _score_cells(cfg.score)
+    if (cfg.n < metrics._MIN_SAMPLES
+            and any(_wants_mc(cfg, target, sc["mode"]) for sc in score_cells)):
+        raise ConfigInvalid(f"Monte Carlo cells need n >= {metrics._MIN_SAMPLES}, "
+                            f"got {cfg.n}")
 
     cells = [(kind, T, sc) for kind in cfg.samplers for T in cfg.T_grid
-             for sc in _score_cells(cfg.score)]
+             for sc in score_cells]
     rows: list[dict | None] = [None] * len(cells)
 
     with open(cfg.out, "w") as fh:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import targets
-from .analytic import GaussianLaw, gaussian_kl
+from .analytic import gaussian_kl
 from .errors import DegenerateCovariance, InvalidParams, TooFewSamples
-from .targets import MarginalLaw
+from .targets import GaussianMixture
 
 _MIN_SAMPLES = 1000
 
@@ -44,7 +44,7 @@ def random_directions(d: int, n_dirs: int, stream: np.random.Generator) -> np.nd
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def sliced_tv(batch, law: MarginalLaw, n_dirs: int = 32,
+def sliced_tv(batch, law: GaussianMixture, n_dirs: int = 32,
               stream: np.random.Generator | None = None,
               directions: np.ndarray | None = None):
     """Mean 1-D Kolmogorov distance over random projections.
@@ -73,7 +73,7 @@ def sliced_tv(batch, law: MarginalLaw, n_dirs: int = 32,
     return mean, per_direction
 
 
-def fit_gaussian(batch) -> GaussianLaw:
+def fit_gaussian(batch) -> GaussianMixture:
     """Moment-matched Gaussian of a batch (sample mean, sample covariance)."""
     y = _batch_array(batch)
     n, d = y.shape
@@ -82,32 +82,21 @@ def fit_gaussian(batch) -> GaussianLaw:
     mean = y.mean(axis=0)
     cov = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+        return targets.gaussian_target(mean, 0.5 * (cov + cov.T))
+    except InvalidParams as exc:
         raise DegenerateCovariance(f"sample covariance not positive-definite: {exc}") from exc
-    return GaussianLaw(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def law_moments(law) -> GaussianLaw:
-    """Moment-matched Gaussian of an analytic law (mixture or Gaussian)."""
-    if isinstance(law, GaussianLaw):
-        return law
-    mix = law.mixture if isinstance(law, MarginalLaw) else law
-    mean, cov = mix.moments()
-    return GaussianLaw(mean=mean, cov=cov)
-
-
-def moment_kl(batch, law) -> float:
+def moment_kl(batch, law: GaussianMixture) -> float:
     """Divergence from the analytic law to the batch's fitted Gaussian.
 
     For a Gaussian law this is exact up to the moment estimation error;
-    for a mixture law both sides are moment-matched Gaussians first.
+    a mixture law enters by its overall mean and covariance.
     """
-    fitted = fit_gaussian(batch)
-    return gaussian_kl(law_moments(law), fitted)
+    return gaussian_kl(law, fit_gaussian(batch))
 
 
-def full_report(batch, law: MarginalLaw, n_dirs: int,
+def full_report(batch, law: GaussianMixture, n_dirs: int,
                 stream: np.random.Generator) -> MetricReport:
     mean_tv, per_direction = sliced_tv(batch, law, n_dirs, stream)
     y = _batch_array(batch)

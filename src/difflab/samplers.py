@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
+from .errors import IndexOutOfRange, InvalidParams, UnsupportedKind
 from .schedule import Schedule
 from .score_oracle import ScoreModel
+from .targets import _as_batch
 
 KINDS = ("accelerated", "accelerated_noclip", "ddpm", "ode")
 
@@ -57,16 +58,6 @@ def _check_step(s: Schedule, t: int) -> None:
         raise IndexOutOfRange(f"sampler step index {t} outside [2, {s.T}]")
 
 
-def _as_rows(x, d: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatch(f"expected vectors of dimension {d}, got shape {x.shape}")
-    return x, single
-
-
 def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
                      use_clip: bool = True):
     """One two-evaluation stochastic step from t to t-1.
@@ -77,9 +68,9 @@ def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
     correction was zeroed by the norm threshold.
     """
     _check_step(s, t)
-    y, single = _as_rows(y, s.d)
-    z_mid, _ = _as_rows(z_mid, s.d)
-    z, _ = _as_rows(z, s.d)
+    y, single = _as_batch(y, s.d)
+    z_mid, _ = _as_batch(z_mid, s.d)
+    z, _ = _as_batch(z, s.d)
     a = s.alpha_at(t)
     om = 1.0 - a
     sqrt_a = np.sqrt(a)
@@ -106,8 +97,8 @@ def ddpm_step(s: Schedule, model: ScoreModel, t: int, y, z):
     """One plain stochastic step: single score evaluation, noise level
     sqrt(1 - alpha_t) injected inside the 1/sqrt(alpha_t) rescaling."""
     _check_step(s, t)
-    y, single = _as_rows(y, s.d)
-    z, _ = _as_rows(z, s.d)
+    y, single = _as_batch(y, s.d)
+    z, _ = _as_batch(z, s.d)
     a = s.alpha_at(t)
     om = 1.0 - a
     y_prev = (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
@@ -118,7 +109,7 @@ def ode_step(s: Schedule, model: ScoreModel, t: int, y):
     """One deterministic step (exponential-Euler discretization of the
     deterministic reverse dynamics): half the score coefficient, no noise."""
     _check_step(s, t)
-    y, single = _as_rows(y, s.d)
+    y, single = _as_batch(y, s.d)
     a = s.alpha_at(t)
     y_prev = (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
     return y_prev[0] if single else y_prev

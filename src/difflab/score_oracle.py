@@ -22,7 +22,7 @@ import numpy as np
 from . import targets
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
 from .schedule import Schedule
-from .targets import GaussianMixture, MarginalLaw
+from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
 
@@ -50,8 +50,8 @@ class ScoreModel:
     delta: np.ndarray | None = None       # (T,), offset mode
     rho: float = 0.0                      # relative mode
     directions: np.ndarray | None = None  # (T, d), offset mode
-    _marginals: dict[int, MarginalLaw] = field(default_factory=dict, init=False,
-                                               repr=False, compare=False)
+    _marginals: dict[int, GaussianMixture] = field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -100,7 +100,7 @@ class ScoreModel:
             return cls.relative(target, schedule, cfg["rho"])
         raise InvalidParams(f"unknown score mode {mode!r}")
 
-    def marginal(self, t: int) -> MarginalLaw:
+    def marginal(self, t: int) -> GaussianMixture:
         if not (1 <= t <= self.schedule.T):
             raise IndexOutOfRange(f"score step {t} outside [1, {self.schedule.T}]")
         law = self._marginals.get(t)

@@ -98,25 +98,18 @@ class GaussianMixture:
         traces = np.trace(self.covariances, axis1=1, axis2=2)
         return float(np.sum(self.weights * (traces + np.sum(self.means**2, axis=1))))
 
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Overall mean vector and covariance matrix of the mixture."""
-        mean = self.weights @ self.means
-        centered = self.means - mean
-        cov = np.einsum("k,kij->ij", self.weights, self.covariances)
-        cov = cov + np.einsum("k,ki,kj->ij", self.weights, centered, centered)
-        return mean, cov
-
-
-@dataclass(frozen=True)
-class MarginalLaw:
-    """The noised-data law at step t: a mixture with transformed components."""
-
-    t: int
-    mixture: GaussianMixture
+    @property
+    def mean(self) -> np.ndarray:
+        """Overall mean vector of the mixture."""
+        return self.weights @ self.means
 
     @property
-    def d(self) -> int:
-        return self.mixture.d
+    def cov(self) -> np.ndarray:
+        """Overall covariance matrix of the mixture (the component's own
+        covariance when K = 1)."""
+        centered = self.means - self.mean
+        cov = np.einsum("k,kij->ij", self.weights, self.covariances)
+        return cov + np.einsum("k,ki,kj->ij", self.weights, centered, centered)
 
 
 def gaussian_target(mean, cov) -> GaussianMixture:
@@ -137,20 +130,19 @@ def check_second_moment(target: GaussianMixture, T: int, c_r: float = 10.0) -> b
     return target.second_moment() < float(T) ** c_r
 
 
-def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> MarginalLaw:
+def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMixture:
     """Law of the noised data at step t (t = 0 returns the target itself)."""
     if not (0 <= t <= s.T):
         raise IndexOutOfRange(f"marginal step {t} outside [0, {s.T}]")
     if t == 0:
-        return MarginalLaw(t=0, mixture=target)
+        return target
     abar = s.alpha_bar_at(t)
     eye = np.eye(target.d)
-    mixture = GaussianMixture(
+    return GaussianMixture(
         weights=target.weights.copy(),
         means=np.sqrt(abar) * target.means,
         covariances=abar * target.covariances + (1.0 - abar) * eye,
     )
-    return MarginalLaw(t=t, mixture=mixture)
 
 
 def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
@@ -179,24 +171,22 @@ def _component_terms(mix: GaussianMixture, x: np.ndarray):
     return top, np.exp(log_pdfs - top), pdiff
 
 
-def log_density(law: MarginalLaw | GaussianMixture, x):
+def log_density(mix: GaussianMixture, x):
     """Mixture log-density via a max-shifted log-sum-exp; finite for all
     finite x."""
-    mix = law.mixture if isinstance(law, MarginalLaw) else law
     xb, single = _as_batch(x, mix.d)
     top, scaled, _ = _component_terms(mix, xb)
     values = top + np.log(scaled.sum(axis=0))
     return float(values[0]) if single else values
 
 
-def score(law: MarginalLaw | GaussianMixture, x):
+def score(mix: GaussianMixture, x):
     """Gradient of the mixture log-density at x: -sum_k r_k P_k (x - m_k).
 
     Posterior responsibilities r_k are a max-shifted softmax over the
     components' log-pdfs; components that underflow contribute exactly
     zero weight.
     """
-    mix = law.mixture if isinstance(law, MarginalLaw) else law
     xb, single = _as_batch(x, mix.d)
     _, scaled, pdiff = _component_terms(mix, xb)
     resp = scaled / scaled.sum(axis=0)
@@ -204,9 +194,8 @@ def score(law: MarginalLaw | GaussianMixture, x):
     return out[0] if single else out
 
 
-def sample(law: MarginalLaw | GaussianMixture, n: int, stream: np.random.Generator) -> np.ndarray:
+def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the mixture; reproducible given the stream."""
-    mix = law.mixture if isinstance(law, MarginalLaw) else law
     comp = stream.choice(mix.K, size=n, p=mix.weights)
     z = stream.standard_normal((n, mix.d))
     out = mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
@@ -223,13 +212,12 @@ def sample_forward(target: GaussianMixture, s: Schedule, t: int, n: int,
     return sample(forward_marginal(target, s, t), n, stream)
 
 
-def projected_cdf(law: MarginalLaw | GaussianMixture, direction: np.ndarray, q):
+def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q):
     """CDF at q of the 1-D law of <direction, X> for X from the mixture.
 
     The projection of a mixture is the 1-D mixture of N(u'm_i, u'C_i u);
     its CDF is a weighted sum of Gaussian error functions.
     """
-    mix = law.mixture if isinstance(law, MarginalLaw) else law
     u = np.asarray(direction, dtype=float)
     if u.shape != (mix.d,):
         raise DimensionMismatch(f"direction must have dimension {mix.d}, got shape {u.shape}")

@@ -33,7 +33,6 @@ from difflab import (
     build_schedule,
     clip,
     fit_slope,
-    forward_law,
     gaussian_kl,
     log_density,
     moment_kl,
@@ -166,7 +165,7 @@ def test_criterion_4_rate_separation():
         for T in grid:
             s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.5, d=2))
             out.append((1.0 / s.params.step_rate,
-                        gaussian_kl(forward_law(target, s, 1),
+                        gaussian_kl(forward_marginal(target, s, 1),
                                     propagate(s, target, kind))))
         return out
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from difflab import (
-    GaussianLaw,
+    GaussianMixture,
     ScheduleParams,
     ScoreModel,
     accelerated_step,
     affine_step_coefficients,
     build_schedule,
-    forward_law,
     gaussian_kl,
     gaussian_target,
     gaussian_tv_bound,
@@ -20,27 +19,45 @@ from difflab import (
     standard_normal_target,
     target_law,
 )
-from difflab.errors import InvalidParams, SingularCovariance, UnsupportedKind
+from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.targets import forward_marginal
 
 
 def test_gaussian_law_validation():
-    GaussianLaw(np.zeros(2), np.eye(2))
+    gaussian_target(np.zeros(2), np.eye(2))
     with pytest.raises(InvalidParams):
-        GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
+        gaussian_target(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(InvalidParams):
-        GaussianLaw(np.zeros(2), -np.eye(2))
+        gaussian_target(np.zeros(2), -np.eye(2))
     with pytest.raises(InvalidParams):
-        GaussianLaw(np.zeros(3), np.eye(2))
+        gaussian_target(np.zeros(3), np.eye(2))
 
 
-def test_forward_law_matches_mixture_marginal():
-    target = gaussian_target([1.0, -2.0], np.array([[2.0, 0.3], [0.3, 0.5]]))
+def test_forward_marginal_gaussian_closed_form():
+    mean = np.array([1.0, -2.0])
+    cov = np.array([[2.0, 0.3], [0.3, 0.5]])
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
-    law = forward_law(target_law(target), s, 7)
-    mix = forward_marginal(target, s, 7).mixture
-    assert np.allclose(law.mean, mix.means[0])
-    assert np.allclose(law.cov, mix.covariances[0])
+    abar = s.alpha_bar_at(7)
+    law = forward_marginal(gaussian_target(mean, cov), s, 7)
+    assert np.allclose(law.mean, np.sqrt(abar) * mean, rtol=1e-15)
+    assert np.allclose(law.cov, abar * cov + (1 - abar) * np.eye(2), rtol=1e-15)
+    # a one-component law's overall moments are its component, bit for bit
+    assert np.array_equal(law.mean, law.means[0])
+    assert np.array_equal(law.cov, law.covariances[0])
+
+
+def test_single_gaussian_required():
+    mix = GaussianMixture(
+        np.array([0.2, 0.3, 0.5]),
+        np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]),
+        np.stack([np.eye(2)] * 3),
+    )
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
+    with pytest.raises(UnsupportedKind):
+        target_law(mix)
+    for kind in ("accelerated_noclip", "ddpm", "ode"):
+        with pytest.raises(UnsupportedKind):
+            propagate(s, mix, kind)
 
 
 def test_ode_coefficients_stationary():
@@ -154,7 +171,7 @@ def test_propagate_matches_monte_carlo_moments():
 
 
 def test_gaussian_kl_identical_laws():
-    law = GaussianLaw(np.array([1.0, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+    law = gaussian_target(np.array([1.0, -2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
     assert abs(gaussian_kl(law, law)) < 1e-12
 
 
@@ -163,8 +180,8 @@ def test_gaussian_kl_noising_formula():
     # 0.5 * [d(1-abar) - d + abar ||x0||^2 - d log(1-abar)]
     d, abar = 2, 0.5
     x0 = np.array([1.0, 0.0])
-    p = GaussianLaw(np.sqrt(abar) * x0, (1 - abar) * np.eye(d))
-    q = GaussianLaw(np.zeros(d), np.eye(d))
+    p = gaussian_target(np.sqrt(abar) * x0, (1 - abar) * np.eye(d))
+    q = gaussian_target(np.zeros(d), np.eye(d))
     expected = 0.5 * (d * (1 - abar) - d + abar * 1.0 - d * math.log(1 - abar))
     assert gaussian_kl(p, q) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.4431472, abs=5e-8)
@@ -176,29 +193,27 @@ def test_gaussian_kl_nonnegative_and_permutation_invariant():
     for _ in range(25):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        p = GaussianLaw(rng.standard_normal(3), a @ a.T + 0.3 * np.eye(3))
-        q = GaussianLaw(rng.standard_normal(3), b @ b.T + 0.3 * np.eye(3))
+        p = gaussian_target(rng.standard_normal(3), a @ a.T + 0.3 * np.eye(3))
+        q = gaussian_target(rng.standard_normal(3), b @ b.T + 0.3 * np.eye(3))
         kl = gaussian_kl(p, q)
         assert kl >= -1e-10
-        p2 = GaussianLaw(p.mean[perm], p.cov[np.ix_(perm, perm)])
-        q2 = GaussianLaw(q.mean[perm], q.cov[np.ix_(perm, perm)])
+        p2 = gaussian_target(p.mean[perm], p.cov[np.ix_(perm, perm)])
+        q2 = gaussian_target(q.mean[perm], q.cov[np.ix_(perm, perm)])
         assert abs(gaussian_kl(p2, q2) - kl) < 1e-12 * max(1.0, abs(kl))
 
 
-def test_gaussian_kl_singular_second_argument():
-    p = GaussianLaw(np.zeros(2), np.eye(2))
-    q = GaussianLaw(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(SingularCovariance):
-        gaussian_kl(p, q)
+def test_singular_covariance_rejected_when_built():
+    with pytest.raises(InvalidParams):
+        gaussian_target(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_tv_bound_values():
-    q = GaussianLaw(np.zeros(1), np.eye(1))
+    q = gaussian_target(np.zeros(1), np.eye(1))
     assert gaussian_tv_bound(q, q) == 0.0
     # KL(N(m,1) || N(0,1)) = m^2 / 2: pick m for KL = 0.08 and KL = 2
-    p = GaussianLaw(np.array([0.4]), np.eye(1))
+    p = gaussian_target(np.array([0.4]), np.eye(1))
     assert gaussian_tv_bound(p, q) == pytest.approx(0.2, rel=1e-12)
-    p = GaussianLaw(np.array([2.0]), np.eye(1))
+    p = gaussian_target(np.array([2.0]), np.eye(1))
     assert gaussian_tv_bound(p, q) == 1.0
 
 

@@ -1,0 +1,52 @@
+"""What the benchmark under perfbench/ uses of the library.
+
+The benchmark drives difflab from outside: its tracer patches named entry
+points and its oracles read propagated laws.  These tests fail when a
+change to the library removes something the benchmark relies on, instead
+of leaving the breakage to the next benchmark run.  They only read
+perfbench/; no bytecode is written there.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from difflab import ScheduleParams, analytic, build_schedule, gaussian_target
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    yield importlib.import_module("spans")
+    sys.modules.pop("spans", None)
+
+
+def test_every_traced_entry_point_resolves(spans):
+    points = spans._entry_points()
+    assert points
+    for owner, attr, name, _ in points:
+        # the tracer swaps owner.__dict__[attr], so it must be defined there
+        assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
+        assert callable(vars(owner)[attr])
+
+
+@pytest.mark.parametrize("kind", analytic.AFFINE_KINDS)
+def test_propagated_law_exposes_moments(kind):
+    target = gaussian_target([0.7, -0.4], np.array([[1.6, 0.45], [0.45, 0.6]]))
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.5, d=2))
+    law = analytic.propagate(s, analytic.target_law(target), kind)
+    assert law.d == 2
+    assert law.mean.shape == (2,)
+    assert law.cov.shape == (2, 2)
+
+
+def test_scalar_twin_is_in_the_library():
+    mean, var = analytic.scalar_propagate(16, 2.0, 2.5, 0.7, 1.6, "ddpm")
+    assert np.isfinite(mean) and var > 0

@@ -6,7 +6,7 @@ import pytest
 from difflab import (
     ScheduleParams,
     build_schedule,
-    forward_law,
+    forward_marginal,
     gaussian_kl,
     propagate,
     standard_normal_target,
@@ -76,7 +76,7 @@ def test_analytic_csv(tmp_path):
 
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=2))
     law_t = target_law(standard_normal_target(2))
-    expected = gaussian_kl(forward_law(law_t, s, 1), propagate(s, law_t, "ddpm"))
+    expected = gaussian_kl(forward_marginal(law_t, s, 1), propagate(s, law_t, "ddpm"))
     assert float(fields[3]) == pytest.approx(expected, rel=1e-15)
 
 

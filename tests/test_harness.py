@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from difflab import ExperimentConfig, fit_slope, run_sweep
+from difflab import ExperimentConfig, fit_slope, metrics, run_sweep
 from difflab.cli import main
-from difflab.errors import ConfigInvalid, InsufficientPoints, NonpositiveValue
+from difflab.errors import ConfigInvalid, InsufficientPoints, NonpositiveValue, TooFewSamples
 from difflab.harness import CSV_HEADER
 
 
@@ -87,24 +88,67 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, score={"mode": "mystery"})
 
 
-@pytest.mark.parametrize("override", [
-    {"n_dirs": 0},
-    {"seed": -1},
-    {"score": {"mode": "offset", "delta": []}},
-    {"score": {"mode": "relative", "rho": []}},
-    {"score": {"mode": "offset"}},
-], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta"])
-def test_config_rejected_before_header(tmp_path, override):
+MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixture_2d_three.json")
+
+
+# parse_error: rejected by ExperimentConfig itself; otherwise by run_sweep,
+# which needs the target to know which cells run Monte Carlo
+@pytest.mark.parametrize("override,parse_error", [
+    ({"n_dirs": 0}, True),
+    ({"seed": -1}, True),
+    ({"score": {"mode": "offset", "delta": []}}, True),
+    ({"score": {"mode": "relative", "rho": []}}, True),
+    ({"score": {"mode": "offset"}}, True),
+    ({"n": 500, "target": MIXTURE_TARGET}, False),
+    ({"n": 500, "mc": True}, False),
+], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
+        "mixture_n_below_floor", "forced_mc_n_below_floor"])
+def test_config_rejected_before_header(tmp_path, override, parse_error):
     out = tmp_path / "sweep.csv"
     raw = {"target": write_target(tmp_path), "T_grid": [8, 16], "samplers": ["ddpm"],
            "n": 2000, "n_dirs": 4, "seed": 123, "out": str(out), **override}
-    with pytest.raises(ConfigInvalid):
-        ExperimentConfig.from_dict(raw)
+    if parse_error:
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig.from_dict(raw)
+    else:
+        with pytest.raises(ConfigInvalid):
+            run_sweep(ExperimentConfig.from_dict(raw))
+        assert not out.exists()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     with pytest.raises(ConfigInvalid):
         main(["sweep", "--config", str(cfg_path), "--jobs", "1"])
     assert not out.exists()
+
+
+def test_small_n_allowed_without_monte_carlo(tmp_path):
+    cfg = make_config(tmp_path, n=500, T_grid=[8])
+    report = run_sweep(cfg)
+    assert report.rows[0]["error"] is None
+    assert report.rows[0]["kl_analytic"] is not None
+
+
+def test_any_difflab_error_fails_its_cell_alone(tmp_path, monkeypatch):
+    real = metrics.sliced_tv
+    calls = []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TooFewSamples("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "sliced_tv", second_call_fails)
+    cfg = make_config(tmp_path, T_grid=[8, 16, 32], mc=True)
+    report = run_sweep(cfg)
+    data, comments = read_rows(cfg.out)
+    assert len(data) == 3
+    assert [r["T"] for r in report.rows if r["error"] is not None] == [16]
+    assert "# cell_failed,ode,16,injected failure" in comments
+    # the failed row keeps no partial metrics; its neighbours are complete
+    assert data[1].split(",")[3:9] == [""] * 6
+    for line in (data[0], data[2]):
+        assert "" not in line.split(",")
 
 
 def test_single_cell_sweep_skips_slopes(tmp_path):

@@ -16,7 +16,7 @@ from difflab import (
     ScoreModel,
     build_schedule,
     fit_slope,
-    forward_law,
+    forward_marginal,
     gaussian_kl,
     gaussian_target,
     propagate,
@@ -31,7 +31,7 @@ def analytic_kls(kind, grid, c0=2.0, c1=2.5, d=2):
     out = []
     for T in grid:
         s = build_schedule(ScheduleParams(T=T, c0=c0, c1=c1, d=d))
-        out.append((T, gaussian_kl(forward_law(target, s, 1),
+        out.append((T, gaussian_kl(forward_marginal(target, s, 1),
                                    propagate(s, target, kind))))
     return out
 
@@ -70,7 +70,7 @@ def test_slopes_steepen_toward_asymptotes():
 def test_kl_argument_orders_both_available():
     target = target_law(gaussian_target([0.5, 0.0], 0.9 * np.eye(2)))
     s = build_schedule(ScheduleParams(T=32, c0=2.0, c1=2.0, d=2))
-    p_x1 = forward_law(target, s, 1)
+    p_x1 = forward_marginal(target, s, 1)
     p_y1 = propagate(s, target, "ddpm")
     forward = gaussian_kl(p_x1, p_y1)
     reverse = gaussian_kl(p_y1, p_x1)

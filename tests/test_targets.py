@@ -72,8 +72,8 @@ def test_forward_marginal_stationary():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=3))
     for t in [0, 1, 8, 16]:
         law = forward_marginal(target, s, t)
-        assert np.allclose(law.mixture.means, 0.0)
-        assert np.allclose(law.mixture.covariances[0], np.eye(3))
+        assert np.allclose(law.means, 0.0)
+        assert np.allclose(law.covariances[0], np.eye(3))
 
 
 def test_forward_marginal_scaling():
@@ -84,8 +84,8 @@ def test_forward_marginal_scaling():
     t = 8
     abar = s.alpha_bar_at(t)
     law = forward_marginal(target, s, t)
-    assert np.allclose(law.mixture.means[0], np.sqrt(abar) * mu)
-    assert np.allclose(law.mixture.covariances[0], np.eye(2))
+    assert np.allclose(law.means[0], np.sqrt(abar) * mu)
+    assert np.allclose(law.covariances[0], np.eye(2))
 
 
 def test_forward_marginal_two_component_moment_match():
@@ -96,15 +96,15 @@ def test_forward_marginal_two_component_moment_match():
     t = 20
     abar = s.alpha_bar_at(t)
     law = forward_marginal(gm, s, t)
-    assert np.allclose(law.mixture.means[:, 0], np.sqrt(abar) * gm.means[:, 0])
-    assert np.allclose(law.mixture.covariances[:, 0, 0],
+    assert np.allclose(law.means[:, 0], np.sqrt(abar) * gm.means[:, 0])
+    assert np.allclose(law.covariances[:, 0, 0],
                        abar * gm.covariances[:, 0, 0] + (1 - abar))
 
     rng = np.random.default_rng(7)
     n = 1_000_000
     x0 = sample_target(gm, n, rng)
     draws = np.sqrt(abar) * x0 + np.sqrt(1 - abar) * rng.standard_normal((n, 1))
-    mean_a, cov_a = law.mixture.moments()
+    mean_a, cov_a = law.mean, law.cov
     se_mean = math.sqrt(float(cov_a[0, 0]) / n)
     assert abs(draws.mean() - mean_a[0]) < 3 * se_mean
     fourth = np.mean((draws[:, 0] - draws.mean()) ** 4)
@@ -115,11 +115,11 @@ def test_forward_marginal_two_component_moment_match():
 def test_forward_marginal_limits():
     gm = two_component_1d()
     s = build_schedule(ScheduleParams(T=256, c0=4.0, c1=4.0, d=1))
-    assert forward_marginal(gm, s, 0).mixture is gm  # t = 0 is the target
+    assert forward_marginal(gm, s, 0) is gm  # t = 0 is the target
     # at the horizon the cumulative rate is ~T^-4: every covariance ~ I
     law = forward_marginal(gm, s, 256)
-    assert np.allclose(law.mixture.covariances, np.eye(1), atol=1e-8)
-    assert np.allclose(law.mixture.means, 0.0, atol=1e-4)
+    assert np.allclose(law.covariances, np.eye(1), atol=1e-8)
+    assert np.allclose(law.means, 0.0, atol=1e-4)
 
 
 def test_log_density_standard_normal_peak():
@@ -275,7 +275,7 @@ def test_sample_forward_matches_marginal_covariance():
     n = 200_000
     draws = sample_forward(gm, s, 32, n, np.random.default_rng(12))
     law = forward_marginal(gm, s, 32)
-    mean_a, cov_a = law.mixture.moments()
+    mean_a, cov_a = law.mean, law.cov
     se_mean = math.sqrt(float(cov_a[0, 0]) / n)
     assert abs(draws.mean() - mean_a[0]) < 4 * se_mean
     fourth = np.mean((draws[:, 0] - mean_a[0]) ** 4)
