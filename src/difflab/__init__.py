@@ -16,7 +16,7 @@ from .analytic import (
     target_law,
 )
 from .harness import ExperimentConfig, SlopeFit, SweepReport, fit_slope, run_sweep
-from .metrics import MetricReport, full_report, moment_kl, sliced_tv
+from .metrics import moment_kl, sliced_tv
 from .samplers import (
     KINDS,
     TrajectoryBatch,
@@ -42,7 +42,6 @@ from .targets import (
     log_density,
     projected_cdf,
     sample_forward,
-    sample_target,
     score,
     standard_normal_target,
 )
@@ -51,13 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "EpsReport", "ExperimentConfig", "GaussianMixture",
-    "KINDS", "MetricReport", "Schedule", "ScheduleParams", "ScoreModel",
-    "SlopeFit", "SweepReport", "TrajectoryBatch", "accelerated_step",
+    "KINDS", "Schedule", "ScheduleParams", "ScoreModel", "SlopeFit",
+    "SweepReport", "TrajectoryBatch", "accelerated_step",
     "affine_step_coefficients", "build_schedule", "clip", "ddpm_step",
-    "fit_slope", "forward_marginal", "full_report", "gaussian_kl",
-    "gaussian_target", "gaussian_tv_bound", "load_target", "log_density",
-    "moment_kl", "ode_step", "projected_cdf", "propagate", "run_batch",
-    "run_sweep", "sample_forward", "sample_target", "scalar_propagate",
-    "schedule_lemma_checks", "score", "sliced_tv", "standard_normal_target",
-    "target_law",
+    "fit_slope", "forward_marginal", "gaussian_kl", "gaussian_target",
+    "gaussian_tv_bound", "load_target", "log_density", "moment_kl",
+    "ode_step", "projected_cdf", "propagate", "run_batch", "run_sweep",
+    "sample_forward", "scalar_propagate", "schedule_lemma_checks", "score",
+    "sliced_tv", "standard_normal_target", "target_law",
 ]

@@ -2,9 +2,10 @@
 
 When the target is a single Gaussian, every score function is affine, so
 each sampler step is an affine map of (current point, fresh draws) and the
-law of every iterate is Gaussian.  This module composes those maps symbol-
-ically, yielding the exact law of the final iterate with no Monte Carlo
-noise; it is the oracle behind the convergence-rate checks.
+law of every iterate is Gaussian.  This module reads each step's map off
+the sampler step itself and composes the maps, yielding the exact law of
+the final iterate with no Monte Carlo noise; it is the oracle behind the
+convergence-rate checks.
 
 Every law here is a one-component ``GaussianMixture``.  Closed-form
 divergences between Gaussian laws live here too, with the total-variation
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from . import samplers
 from .errors import InvalidParams, SingularCovariance, UnsupportedKind
 from .schedule import Schedule
 from .targets import GaussianMixture, gaussian_target
@@ -56,12 +58,42 @@ def target_law(target: GaussianMixture) -> GaussianMixture:
     return target
 
 
-def _score_coefficients(target: GaussianMixture, s: Schedule, t: int):
-    """(S, c) with exact score s_t(x) = S x + c at step t >= 1."""
-    abar = s.alpha_bar_at(t)
-    cov = abar * target.covariances[0] + (1.0 - abar) * np.eye(target.d)
-    cov_inv = np.linalg.inv(cov)
-    return -cov_inv, cov_inv @ (np.sqrt(abar) * target.means[0])
+class _AffineScore:
+    """Exact score of a single-Gaussian target N(m, C) at every step,
+    s_t(x) = c_t - P_t x with P_t = (abar_t C + (1 - abar_t) I)^-1 and
+    c_t = P_t sqrt(abar_t) m; all T precisions come from one batched inverse.
+    """
+
+    def __init__(self, target: GaussianMixture, s: Schedule):
+        abar = s.alpha_bar[:, None, None]
+        noised = abar * target.covariances[0]
+        noised[:, range(target.d), range(target.d)] += 1.0 - abar[:, :, 0]
+        self.precisions = np.linalg.inv(noised)
+        scaled_means = np.sqrt(s.alpha_bar)[:, None] * target.means[0]
+        self.offsets = (self.precisions @ scaled_means[:, :, None])[:, :, 0]
+
+    def evaluate(self, t: int, x: np.ndarray) -> np.ndarray:
+        return self.offsets[t - 1] - x @ self.precisions[t - 1].T
+
+
+def _step_maps(s: Schedule, target: GaussianMixture, kind: str, steps):
+    """The affine map of each step t in ``steps``, read off ``samplers.step``
+    run under the exact affine score on 3d + 1 probe rows of (y, z_mid, z):
+    the zero row gives b, and each unit row minus it gives one column of
+    [A B D].  The no-clip steps are affine, so this is exact.
+    """
+    target_law(target)
+    if kind not in AFFINE_KINDS:
+        raise UnsupportedKind(f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})")
+    d = target.d
+    score = _AffineScore(target, s)
+    rows = np.vstack([np.zeros(3 * d), np.eye(3 * d)])
+    probe = rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:]
+    for t in steps:
+        out, _ = samplers.step(kind, s, score, t, *probe)
+        cols = (out[1:] - out[0]).T
+        yield StepCoefficients(A=cols[:, :d], B=cols[:, d:2 * d], D=cols[:, 2 * d:],
+                               b=out[0])
 
 
 def affine_step_coefficients(s: Schedule, target: GaussianMixture, t: int,
@@ -71,42 +103,7 @@ def affine_step_coefficients(s: Schedule, target: GaussianMixture, t: int,
     Only the no-clip variants are affine, and only for a single-Gaussian
     target; anything else raises UnsupportedKind.
     """
-    target_law(target)
-    if kind not in AFFINE_KINDS:
-        raise UnsupportedKind(
-            f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})"
-        )
-    if not (2 <= t <= s.T):
-        raise InvalidParams(f"step index {t} outside [2, {s.T}]")
-    d = target.d
-    eye = np.eye(d)
-    a = s.alpha_at(t)
-    om = 1.0 - a
-    sqrt_a = math.sqrt(a)
-    S_t, c_t = _score_coefficients(target, s, t)
-
-    if kind == "ode":
-        A = (eye + 0.5 * om * S_t) / sqrt_a
-        b = 0.5 * om * c_t / sqrt_a
-        return StepCoefficients(A=A, B=np.zeros((d, d)), D=np.zeros((d, d)), b=b)
-    if kind == "ddpm":
-        A = (eye + om * S_t) / sqrt_a
-        b = om * c_t / sqrt_a
-        D = math.sqrt(om / a) * eye
-        return StepCoefficients(A=A, B=np.zeros((d, d)), D=D, b=b)
-
-    S_prev, c_prev = _score_coefficients(target, s, t - 1)
-    k = om / (2.0 * a)
-    M1 = (eye + k * S_t) / sqrt_a          # y_mid = M1 y + m1 + om * z_mid
-    m1 = k * c_t / sqrt_a
-    G_y = a**1.5 * S_prev @ M1 - S_t
-    G_z = om * (a**1.5 * S_prev - S_t)
-    g0 = a**1.5 * (S_prev @ m1 + c_prev) - c_t
-    A = (eye + om * S_t + om * a * G_y) / sqrt_a
-    B = om * a * G_z / sqrt_a
-    D = (s.sigma_at(t) / sqrt_a) * eye
-    b = om * (c_t + a * g0) / sqrt_a
-    return StepCoefficients(A=A, B=B, D=D, b=b)
+    return next(_step_maps(s, target, kind, [t]))
 
 
 def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixture:
@@ -115,11 +112,9 @@ def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixtur
     Applies mean <- A mean + b and cov <- A cov A' + B B' + D D' for
     t = T..2, symmetrizing the covariance each step to suppress drift.
     """
-    d = target.d
-    mean = np.zeros(d)
-    cov = np.eye(d)
-    for t in range(s.T, 1, -1):
-        c = affine_step_coefficients(s, target, t, kind)
+    mean = np.zeros(target.d)
+    cov = np.eye(target.d)
+    for c in _step_maps(s, target, kind, range(s.T, 1, -1)):
         mean = c.A @ mean + c.b
         cov = c.A @ cov @ c.A.T + c.B @ c.B.T + c.D @ c.D.T
         cov = 0.5 * (cov + cov.T)

@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from . import analytic, harness, targets
+from .errors import DiffLabError
 from .samplers import run_batch
 from .schedule import (
     DEFAULT_C0,
@@ -124,7 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiffLabError as exc:
+        print(f"difflab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,6 @@ law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import targets
@@ -23,15 +21,6 @@ from .errors import DegenerateCovariance, InvalidParams, TooFewSamples
 from .targets import GaussianMixture
 
 _MIN_SAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    sliced_tv: float
-    moment_kl: float
-    per_direction: tuple[tuple[np.ndarray, float], ...]
-    n: int
-    n_dirs: int
 
 
 def _batch_array(batch) -> np.ndarray:
@@ -94,16 +83,3 @@ def moment_kl(batch, law: GaussianMixture) -> float:
     a mixture law enters by its overall mean and covariance.
     """
     return gaussian_kl(law, fit_gaussian(batch))
-
-
-def full_report(batch, law: GaussianMixture, n_dirs: int,
-                stream: np.random.Generator) -> MetricReport:
-    mean_tv, per_direction = sliced_tv(batch, law, n_dirs, stream)
-    y = _batch_array(batch)
-    return MetricReport(
-        sliced_tv=mean_tv,
-        moment_kl=moment_kl(batch, law),
-        per_direction=tuple(per_direction),
-        n=y.shape[0],
-        n_dirs=len(per_direction),
-    )

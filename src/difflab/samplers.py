@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import IndexOutOfRange, InvalidParams, UnsupportedKind
-from .schedule import Schedule
+from .schedule import Schedule, clip
 from .score_oracle import ScoreModel
 from .targets import _as_batch
 
@@ -79,13 +79,12 @@ def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
     y_mid = (y + (om / (2.0 * a)) * s_t_y) / sqrt_a + om * z_mid
     g = a**1.5 * model.evaluate(t - 1, y_mid) - model.evaluate(t, y + om * z_mid)
 
+    clipped = np.zeros(y.shape[0], dtype=bool)
     if use_clip:
-        norms = np.linalg.norm(g, axis=1)
-        over = norms > s.clip_radius_at(t)
-        clipped = over & (norms > 0.0)
-        g = np.where(over[:, None], 0.0, g)
-    else:
-        clipped = np.zeros(y.shape[0], dtype=bool)
+        kept = clip(s, t, g)
+        moved = g - kept  # g's row where clip zeroed it; 0 (or NaN) where kept
+        clipped = np.einsum("ij,ij->i", moved, moved) > 0.0
+        g = kept
 
     y_prev = (y + om * (s_t_y + a * g) + s.sigma_at(t) * z) / sqrt_a
     if single:
@@ -113,6 +112,22 @@ def ode_step(s: Schedule, model: ScoreModel, t: int, y):
     a = s.alpha_at(t)
     y_prev = (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
     return y_prev[0] if single else y_prev
+
+
+def step(kind: str, s: Schedule, model: ScoreModel, t: int, y, z_mid, z):
+    """(y_prev, clipped) of one step of sampler ``kind`` on a batch (n, d).
+
+    The one mapping from kind to step function, used by ``run_batch`` and
+    ``analytic.propagate``; ``clipped`` is all False for kinds without a clip.
+    The step functions are module globals looked up on every call.
+    """
+    if kind == "ddpm":
+        return ddpm_step(s, model, t, y, z), np.zeros(len(y), dtype=bool)
+    if kind == "ode":
+        return ode_step(s, model, t, y), np.zeros(len(y), dtype=bool)
+    if kind in ("accelerated", "accelerated_noclip"):
+        return accelerated_step(s, model, t, y, z_mid, z, use_clip=(kind == "accelerated"))
+    raise UnsupportedKind(f"unknown sampler kind {kind!r}")
 
 
 def _row_words(T: int, d: int) -> tuple[int, int]:
@@ -147,14 +162,8 @@ def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
         z_mid = noise[:, col:col + d]
         z = noise[:, col + d:col + 2 * d]
         col += 2 * d
-        if kind == "ddpm":
-            y = ddpm_step(s, model, t, y, z)
-        elif kind == "ode":
-            y = ode_step(s, model, t, y)
-        else:
-            y, clipped = accelerated_step(s, model, t, y, z_mid, z,
-                                          use_clip=(kind == "accelerated"))
-            clip_count += int(np.count_nonzero(clipped))
+        y, clipped = step(kind, s, model, t, y, z_mid, z)
+        clip_count += int(np.count_nonzero(clipped))
     return y, clip_count
 
 

@@ -233,16 +233,16 @@ def schedule_lemma_checks(s: Schedule) -> CheckReport:
 
 
 def clip(s: Schedule, t: int, x: np.ndarray) -> np.ndarray:
-    """Threshold ``x`` by norm: unchanged inside radius r_t, zero outside.
+    """Threshold a vector (d,) or each row of a batch (n, d) by norm.
 
-    Indicator semantics, not a projection: any vector with 2-norm beyond
-    the radius maps to the zero vector.
+    Indicator semantics, not a projection: a row whose 2-norm exceeds the
+    radius r_t maps to the zero vector, any other row is returned as is.
+    A row with a NaN norm is not over the radius, so it passes through.
     """
     if not (2 <= t <= s.T):
         raise IndexOutOfRange(f"clip step index {t} outside [2, {s.T}]")
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.d,):
-        raise DimensionMismatch(f"expected vector of dimension {s.d}, got shape {x.shape}")
-    if np.linalg.norm(x) <= s.clip_radius_at(t):
-        return x.copy()
-    return np.zeros_like(x)
+    if x.ndim not in (1, 2) or x.shape[-1] != s.d:
+        raise DimensionMismatch(f"expected vectors of dimension {s.d}, got shape {x.shape}")
+    over = np.linalg.norm(x, axis=-1) > s.clip_radius_at(t)
+    return np.where(over[..., None], 0.0, x)

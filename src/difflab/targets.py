@@ -202,10 +202,6 @@ def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndar
     return out
 
 
-def sample_target(target: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndarray:
-    return sample(target, n, stream)
-
-
 def sample_forward(target: GaussianMixture, s: Schedule, t: int, n: int,
                    stream: np.random.Generator) -> np.ndarray:
     """Draws from the step-t marginal via the one-shot noising identity."""

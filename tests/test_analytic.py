@@ -19,6 +19,8 @@ from difflab import (
     standard_normal_target,
     target_law,
 )
+from difflab import samplers
+from difflab.analytic import AFFINE_KINDS
 from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.targets import forward_marginal
 
@@ -117,20 +119,37 @@ def test_accelerated_coefficients_by_regression():
     assert abs(coef[3] - c.b[0]) < 1e-8
 
 
-def test_accelerated_coefficients_exact_in_2d():
-    target = gaussian_target([0.5, -1.0], np.array([[1.2, 0.4], [0.4, 0.9]]))
-    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(target, s)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_affine_coefficients_reproduce_step(kind, d):
+    # the map read off the probe rows reproduces the step run under the
+    # sampler's own exact score at random points
+    rng = np.random.default_rng(17 + d)
+    root = rng.standard_normal((d, d))
+    target = gaussian_target(rng.standard_normal(d), root @ root.T + 0.5 * np.eye(d))
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=d))
     t = 5
-    c = affine_step_coefficients(s, target_law(target), t, "accelerated_noclip")
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        y = rng.standard_normal(2)
-        z_mid = rng.standard_normal(2)
-        z = rng.standard_normal(2)
-        direct, _ = accelerated_step(s, model, t, y, z_mid, z, use_clip=False)
-        affine = c.A @ y + c.B @ z_mid + c.D @ z + c.b
-        assert np.allclose(direct, affine, rtol=1e-12, atol=1e-12)
+    c = affine_step_coefficients(s, target_law(target), t, kind)
+    y, z_mid, z = rng.standard_normal((3, 20, d))
+    direct, _ = samplers.step(kind, s, ScoreModel.exact(target, s), t, y, z_mid, z)
+    affine = y @ c.A.T + z_mid @ c.B.T + z @ c.D.T + c.b
+    assert np.allclose(direct, affine, rtol=1e-12, atol=1e-12)
+
+
+def test_propagate_runs_the_sampler_step(monkeypatch):
+    # the propagated law is read off samplers.step, so a mutant step with
+    # 1% more noise must change it
+    target = target_law(gaussian_target([0.5], np.array([[1.3]])))
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=1))
+    before = propagate(s, target, "ddpm").cov
+    original = samplers.ddpm_step
+
+    def noisier(s, model, t, y, z):
+        return original(s, model, t, y, 1.01 * np.asarray(z))
+
+    monkeypatch.setattr(samplers, "ddpm_step", noisier)
+    after = propagate(s, target, "ddpm").cov
+    assert not np.allclose(after, before, rtol=1e-6, atol=0.0)
 
 
 def test_propagate_ode_deterministic_covariance():

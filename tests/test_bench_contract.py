@@ -8,13 +8,23 @@ perfbench/; no bytecode is written there.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from difflab import ScheduleParams, analytic, build_schedule, gaussian_target
+from difflab import (
+    ScheduleParams,
+    ScoreModel,
+    analytic,
+    build_schedule,
+    gaussian_target,
+    harness,
+    samplers,
+    standard_normal_target,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,3 +60,39 @@ def test_propagated_law_exposes_moments(kind):
 def test_scalar_twin_is_in_the_library():
     mean, var = analytic.scalar_propagate(16, 2.0, 2.5, 0.7, 1.6, "ddpm")
     assert np.isfinite(mean) and var > 0
+
+
+def test_sweep_reaches_propagate_through_the_module(tmp_path, monkeypatch):
+    # the analytic-rate oracle wraps analytic.propagate on the module
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"d": 2, "components": [
+        {"weight": 1.0, "mean": [0.3, -0.2], "cov": [[1.2, 0.3], [0.3, 0.8]]}]}))
+    cfg = harness.ExperimentConfig(target_path=str(target), T_grid=(8, 16, 32),
+                                   samplers=("accelerated_noclip", "ode"), n=1,
+                                   out=str(tmp_path / "sweep.csv"), c0=2.0, c1=2.0)
+    calls = []
+    original = analytic.propagate
+
+    def record(s, target, kind):
+        calls.append((kind, s.T))
+        return original(s, target, kind)
+
+    monkeypatch.setattr(analytic, "propagate", record)
+    harness.run_sweep(cfg)
+    assert calls == [(kind, T) for kind in cfg.samplers for T in cfg.T_grid]
+
+
+def test_run_batch_reaches_step_through_the_module(monkeypatch):
+    # the tracer patches samplers.ddpm_step on the module
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
+    model = ScoreModel.exact(standard_normal_target(2), s)
+    steps = []
+    original = samplers.ddpm_step
+
+    def record(s, model, t, y, z):
+        steps.append(t)
+        return original(s, model, t, y, z)
+
+    monkeypatch.setattr(samplers, "ddpm_step", record)
+    samplers.run_batch("ddpm", s, model, 16, seed=1)
+    assert steps == list(range(8, 1, -1))

@@ -103,7 +103,7 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"n": 500, "mc": True}, False),
 ], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
         "mixture_n_below_floor", "forced_mc_n_below_floor"])
-def test_config_rejected_before_header(tmp_path, override, parse_error):
+def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
     raw = {"target": write_target(tmp_path), "T_grid": [8, 16], "samplers": ["ddpm"],
            "n": 2000, "n_dirs": 4, "seed": 123, "out": str(out), **override}
@@ -116,8 +116,9 @@ def test_config_rejected_before_header(tmp_path, override, parse_error):
         assert not out.exists()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigInvalid):
-        main(["sweep", "--config", str(cfg_path), "--jobs", "1"])
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "1"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("difflab: ConfigInvalid: ")
     assert not out.exists()
 
 

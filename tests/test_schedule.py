@@ -125,6 +125,23 @@ def test_clip_idempotent_on_random_vectors():
         assert np.array_equal(clip(s, t, once), once)
 
 
+def test_batch_clip_is_rowwise_and_passes_nan():
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=0.05, d=3))
+    t = 6
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((64, 3)) * rng.uniform(0.0, 2.0 * s.clip_radius_at(t), (64, 1))
+    x[7] = np.nan
+    x[8, 1] = np.nan
+    out = clip(s, t, x)
+    for row, got in zip(x, out):
+        assert np.array_equal(got, clip(s, t, row), equal_nan=True)
+    assert np.array_equal(out[7:9], x[7:9], equal_nan=True)
+    norms = np.linalg.norm(x, axis=1)
+    kept = norms <= s.clip_radius_at(t)
+    assert kept.any() and (norms > s.clip_radius_at(t)).any()
+    assert np.array_equal(out[kept], x[kept])
+
+
 def test_clip_errors():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
     with pytest.raises(IndexOutOfRange):

@@ -16,7 +16,6 @@ from difflab import (
     log_density,
     projected_cdf,
     sample_forward,
-    sample_target,
     score,
     standard_normal_target,
 )
@@ -102,7 +101,7 @@ def test_forward_marginal_two_component_moment_match():
 
     rng = np.random.default_rng(7)
     n = 1_000_000
-    x0 = sample_target(gm, n, rng)
+    x0 = sample(gm, n, rng)
     draws = np.sqrt(abar) * x0 + np.sqrt(1 - abar) * rng.standard_normal((n, 1))
     mean_a, cov_a = law.mean, law.cov
     se_mean = math.sqrt(float(cov_a[0, 0]) / n)
@@ -260,12 +259,12 @@ def test_score_far_tail_single_surviving_component():
 
 def test_sampling_deterministic_and_moment_sane():
     target = standard_normal_target(2)
-    a = sample_target(target, 1000, np.random.default_rng(99))
-    b = sample_target(target, 1000, np.random.default_rng(99))
+    a = sample(target, 1000, np.random.default_rng(99))
+    b = sample(target, 1000, np.random.default_rng(99))
     assert np.array_equal(a, b)
 
     n = 1_000_000
-    draws = sample_target(target, n, np.random.default_rng(1))
+    draws = sample(target, n, np.random.default_rng(1))
     assert np.all(np.abs(draws.mean(axis=0)) < 4 / math.sqrt(n))
 
 
@@ -298,7 +297,7 @@ def test_projected_cdf_matches_monte_carlo():
     gm = two_component_1d()
     u = np.array([1.0])
     n = 10_000_000
-    draws = sample_target(gm, n, np.random.default_rng(4))
+    draws = sample(gm, n, np.random.default_rng(4))
     q = 1.0
     analytic = projected_cdf(gm, u, q)
     empirical = np.mean(draws[:, 0] <= q)
