@@ -8,7 +8,6 @@ convergence slopes.
 """
 
 from .analytic import (
-    affine_step_coefficients,
     gaussian_kl,
     gaussian_tv_bound,
     propagate,
@@ -49,13 +48,12 @@ from .targets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport", "EpsReport", "ExperimentConfig", "GaussianMixture",
-    "KINDS", "Schedule", "ScheduleParams", "ScoreModel", "SlopeFit",
-    "SweepReport", "TrajectoryBatch", "accelerated_step",
-    "affine_step_coefficients", "build_schedule", "clip", "ddpm_step",
-    "fit_slope", "forward_marginal", "gaussian_kl", "gaussian_target",
-    "gaussian_tv_bound", "load_target", "log_density", "moment_kl",
-    "ode_step", "projected_cdf", "propagate", "run_batch", "run_sweep",
-    "sample_forward", "scalar_propagate", "schedule_lemma_checks", "score",
-    "sliced_tv", "standard_normal_target", "target_law",
+    "CheckReport", "EpsReport", "ExperimentConfig", "GaussianMixture", "KINDS",
+    "Schedule", "ScheduleParams", "ScoreModel", "SlopeFit", "SweepReport",
+    "TrajectoryBatch", "accelerated_step", "build_schedule", "clip",
+    "ddpm_step", "fit_slope", "forward_marginal", "gaussian_kl",
+    "gaussian_target", "gaussian_tv_bound", "load_target", "log_density",
+    "moment_kl", "ode_step", "projected_cdf", "propagate", "run_batch",
+    "run_sweep", "sample_forward", "scalar_propagate", "schedule_lemma_checks",
+    "score", "sliced_tv", "standard_normal_target", "target_law",
 ]

@@ -1,11 +1,16 @@
 """Exact distribution propagation for pure-Gaussian targets.
 
 When the target is a single Gaussian, every score function is affine, so
-each sampler step is an affine map of (current point, fresh draws) and the
-law of every iterate is Gaussian.  This module reads each step's map off
-the sampler step itself and composes the maps, yielding the exact law of
-the final iterate with no Monte Carlo noise; it is the oracle behind the
-convergence-rate checks.
+each sampler step is an affine map Y_{t-1} = A Y_t + B Z_mid + D Z + b of
+(current point, fresh draws) and the law of every iterate is Gaussian.
+This module reads the maps off the sampler step itself and composes them,
+yielding the exact law of the final iterate with no Monte Carlo noise; it
+is the oracle behind the convergence-rate checks.
+
+The horizon is walked in blocks of ``_PROBE_STEPS`` steps: one
+``samplers.step`` call, given one step index per row, reads off all of a
+block's maps on 3d + 1 probe rows per step, and a pairwise tree composes
+them into one map that is folded into the running mean and covariance.
 
 Every law here is a one-component ``GaussianMixture``.  Closed-form
 divergences between Gaussian laws live here too, with the total-variation
@@ -19,27 +24,20 @@ justifies using the no-clip law in its place at these scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import samplers
-from .errors import InvalidParams, SingularCovariance, UnsupportedKind
+from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule
 from .targets import GaussianMixture, gaussian_target
 
 AFFINE_KINDS = ("accelerated_noclip", "ddpm", "ode")
 
-
-@dataclass(frozen=True)
-class StepCoefficients:
-    """One step as the affine map  Y_{t-1} = A Y_t + B Z_mid + D Z + b."""
-
-    A: np.ndarray
-    B: np.ndarray
-    D: np.ndarray
-    b: np.ndarray
+# Steps probed per samplers.step call; bounds the probe stack at
+# _PROBE_STEPS * (3d + 1) rows independently of the horizon T.
+_PROBE_STEPS = 1024
 
 
 def affine_kind(kind: str) -> str:
@@ -65,6 +63,7 @@ class _AffineScore:
     """
 
     def __init__(self, target: GaussianMixture, s: Schedule):
+        self.d = target.d
         abar = s.alpha_bar[:, None, None]
         noised = abar * target.covariances[0]
         noised[:, range(target.d), range(target.d)] += 1.0 - abar[:, :, 0]
@@ -72,71 +71,73 @@ class _AffineScore:
         scaled_means = np.sqrt(s.alpha_bar)[:, None] * target.means[0]
         self.offsets = (self.precisions @ scaled_means[:, :, None])[:, :, 0]
 
-    def evaluate(self, t: int, x: np.ndarray) -> np.ndarray:
-        return self.offsets[t - 1] - x @ self.precisions[t - 1].T
+    def evaluate(self, t, x: np.ndarray) -> np.ndarray:
+        """s_t at the rows of x, for one int t or an int array t per row."""
+        return self.offsets[t - 1] - (self.precisions[t - 1] @ x[..., None])[..., 0]
 
 
-def _step_maps(s: Schedule, target: GaussianMixture, kind: str, steps):
-    """The affine map of each step t in ``steps``, read off ``samplers.step``
-    run under the exact affine score on 3d + 1 probe rows of (y, z_mid, z):
-    the zero row gives b, and each unit row minus it gives one column of
-    [A B D].  The no-clip steps are affine, so this is exact.
+def _step_maps(s: Schedule, score: _AffineScore, kind: str, steps: np.ndarray):
+    """The affine maps of the steps in ``steps``, stacked as (A, B, D, b).
+
+    One ``samplers.step`` call runs each step on its own 3d + 1 probe rows of
+    (y, z_mid, z): the zero row gives b, and each unit row minus it gives one
+    column of [A B D].  The no-clip steps are affine, so this is exact.
     """
-    target_law(target)
-    if kind not in AFFINE_KINDS:
-        raise UnsupportedKind(f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})")
-    d = target.d
-    score = _AffineScore(target, s)
-    rows = np.vstack([np.zeros(3 * d), np.eye(3 * d)])
-    probe = rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:]
-    for t in steps:
-        out, _ = samplers.step(kind, s, score, t, *probe)
-        cols = (out[1:] - out[0]).T
-        yield StepCoefficients(A=cols[:, :d], B=cols[:, d:2 * d], D=cols[:, 2 * d:],
-                               b=out[0])
+    d, m = score.d, len(steps)
+    rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)]), (m, 1))
+    t = np.repeat(steps, 3 * d + 1)
+    out, _ = samplers.step(kind, s, score, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
+    out = out.reshape(m, 3 * d + 1, d)
+    cols = np.swapaxes(out[:, 1:] - out[:, :1], 1, 2)
+    return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], out[:, 0]
 
 
-def affine_step_coefficients(s: Schedule, target: GaussianMixture, t: int,
-                             kind: str) -> StepCoefficients:
-    """Exact affine form of one sampler step under exact linear scores.
-
-    Only the no-clip variants are affine, and only for a single-Gaussian
-    target; anything else raises UnsupportedKind.
-    """
-    return next(_step_maps(s, target, kind, [t]))
+def _compose(A: np.ndarray, b: np.ndarray, Q: np.ndarray):
+    """The stacked maps, applied in index order, composed by a pairwise tree:
+    (A2, b2, Q2) after (A1, b1, Q1) is (A2 A1, A2 b1 + b2, A2 Q1 A2' + Q2)."""
+    while len(A) > 1:
+        n = len(A) - len(A) % 2
+        A1, A2 = A[0:n:2], A[1:n:2]
+        Q21 = A2 @ Q[0:n:2] @ np.swapaxes(A2, 1, 2) + Q[1:n:2]
+        A = np.concatenate([A2 @ A1, A[n:]])
+        b = np.concatenate([(A2 @ b[0:n:2, :, None])[:, :, 0] + b[1:n:2], b[n:]])
+        Q = np.concatenate([0.5 * (Q21 + np.swapaxes(Q21, 1, 2)), Q[n:]])
+    return A[0], b[0], Q[0]
 
 
 def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixture:
     """Exact law of the final iterate Y_1, starting from Y_T ~ N(0, I).
 
-    Applies mean <- A mean + b and cov <- A cov A' + B B' + D D' for
-    t = T..2, symmetrizing the covariance each step to suppress drift.
+    Each block of steps, t = T..2, composes to one map (A, b, Q = B B' + D D')
+    folded in as mean <- A mean + b, cov <- A cov A' + Q; every composed Q
+    and cov is symmetrized to suppress drift.
     """
+    if kind not in AFFINE_KINDS:
+        raise UnsupportedKind(f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})")
+    score = _AffineScore(target_law(target), s)
     mean = np.zeros(target.d)
     cov = np.eye(target.d)
-    for c in _step_maps(s, target, kind, range(s.T, 1, -1)):
-        mean = c.A @ mean + c.b
-        cov = c.A @ cov @ c.A.T + c.B @ c.B.T + c.D @ c.D.T
+    for hi in range(s.T, 1, -_PROBE_STEPS):
+        A, B, D, b = _step_maps(s, score, kind, np.arange(hi, max(hi - _PROBE_STEPS, 1), -1))
+        A, b, Q = _compose(A, b, B @ np.swapaxes(B, 1, 2) + D @ np.swapaxes(D, 1, 2))
+        mean = A @ mean + b
+        cov = A @ cov @ A.T + Q
         cov = 0.5 * (cov + cov.T)
     return gaussian_target(mean, cov)
 
 
 def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:
     """KL(p || q) between Gaussian laws; a mixture enters by its overall
-    mean and covariance, and q must be positive-definite.
+    mean and covariance, which is positive-definite because each component's
+    covariance passed a Cholesky factorization when the mixture was built.
 
     0.5 * [tr(Cq^-1 Cp) + (mq - mp)' Cq^-1 (mq - mp) - d
            + log det Cq - log det Cp]
     """
     if p.d != q.d:
         raise InvalidParams("laws must share a dimension")
-    try:
-        cq = cho_factor(q.cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"second argument covariance is singular: {exc}") from exc
-    sign_p, logdet_p = np.linalg.slogdet(p.cov)
-    if sign_p <= 0:
-        raise SingularCovariance("first argument covariance is singular")
+    cq = cho_factor(q.cov, lower=True)
+    logdet_p = np.linalg.slogdet(p.cov)[1]
     logdet_q = 2.0 * float(np.sum(np.log(np.abs(np.diag(cq[0])))))
     diff = q.mean - p.mean
     trace = float(np.trace(cho_solve(cq, p.cov)))

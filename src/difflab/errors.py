@@ -34,10 +34,6 @@ class UnsupportedKind(DiffLabError):
     """The requested sampler variant is not supported by this operation."""
 
 
-class SingularCovariance(DiffLabError):
-    """A covariance matrix required to be positive-definite is singular."""
-
-
 class DegenerateCovariance(DiffLabError):
     """A sample covariance matrix is not positive-definite."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import IndexOutOfRange, InvalidParams, UnsupportedKind
+from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule, clip
 from .score_oracle import ScoreModel
 from .targets import _as_batch
@@ -53,12 +53,12 @@ class TrajectoryBatch:
         self.y1.setflags(write=False)
 
 
-def _check_step(s: Schedule, t: int) -> None:
-    if not (2 <= t <= s.T):
-        raise IndexOutOfRange(f"sampler step index {t} outside [2, {s.T}]")
+def _per_row(value):
+    """A schedule value; for an int array t (one step per row) as a column."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
 
 
-def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
+def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
                      use_clip: bool = True):
     """One two-evaluation stochastic step from t to t-1.
 
@@ -67,11 +67,11 @@ def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
     Returns (y_prev, clipped) where ``clipped`` flags rows whose
     correction was zeroed by the norm threshold.
     """
-    _check_step(s, t)
+    s._check_t(t, lo=2)
     y, single = _as_batch(y, s.d)
     z_mid, _ = _as_batch(z_mid, s.d)
     z, _ = _as_batch(z, s.d)
-    a = s.alpha_at(t)
+    a = _per_row(s.alpha_at(t))
     om = 1.0 - a
     sqrt_a = np.sqrt(a)
 
@@ -86,40 +86,41 @@ def accelerated_step(s: Schedule, model: ScoreModel, t: int, y, z_mid, z,
         clipped = np.einsum("ij,ij->i", moved, moved) > 0.0
         g = kept
 
-    y_prev = (y + om * (s_t_y + a * g) + s.sigma_at(t) * z) / sqrt_a
+    y_prev = (y + om * (s_t_y + a * g) + _per_row(s.sigma_at(t)) * z) / sqrt_a
     if single:
         return y_prev[0], bool(clipped[0])
     return y_prev, clipped
 
 
-def ddpm_step(s: Schedule, model: ScoreModel, t: int, y, z):
+def ddpm_step(s: Schedule, model: ScoreModel, t, y, z):
     """One plain stochastic step: single score evaluation, noise level
     sqrt(1 - alpha_t) injected inside the 1/sqrt(alpha_t) rescaling."""
-    _check_step(s, t)
+    s._check_t(t, lo=2)
     y, single = _as_batch(y, s.d)
     z, _ = _as_batch(z, s.d)
-    a = s.alpha_at(t)
+    a = _per_row(s.alpha_at(t))
     om = 1.0 - a
     y_prev = (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
     return y_prev[0] if single else y_prev
 
 
-def ode_step(s: Schedule, model: ScoreModel, t: int, y):
+def ode_step(s: Schedule, model: ScoreModel, t, y):
     """One deterministic step (exponential-Euler discretization of the
     deterministic reverse dynamics): half the score coefficient, no noise."""
-    _check_step(s, t)
+    s._check_t(t, lo=2)
     y, single = _as_batch(y, s.d)
-    a = s.alpha_at(t)
+    a = _per_row(s.alpha_at(t))
     y_prev = (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
     return y_prev[0] if single else y_prev
 
 
-def step(kind: str, s: Schedule, model: ScoreModel, t: int, y, z_mid, z):
+def step(kind: str, s: Schedule, model: ScoreModel, t, y, z_mid, z):
     """(y_prev, clipped) of one step of sampler ``kind`` on a batch (n, d).
 
     The one mapping from kind to step function, used by ``run_batch`` and
     ``analytic.propagate``; ``clipped`` is all False for kinds without a clip.
-    The step functions are module globals looked up on every call.
+    The step functions are module globals looked up on every call.  ``t`` is
+    one step for the whole batch, or an int array with one step per row.
     """
     if kind == "ddpm":
         return ddpm_step(s, model, t, y, z), np.zeros(len(y), dtype=bool)

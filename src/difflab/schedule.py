@@ -75,7 +75,8 @@ class Schedule:
     """Immutable per-step coefficient arrays for a fixed horizon.
 
     Arrays are stored 0-based; use the ``*_at`` accessors with 1-based step
-    indices.  ``sigma`` and ``clip_radius`` exist only for t = 2..T.
+    indices (int or int array).  ``sigma`` and ``clip_radius`` exist only
+    for t = 2..T.
     """
 
     params: ScheduleParams
@@ -97,24 +98,27 @@ class Schedule:
     def d(self) -> int:
         return self.params.d
 
-    def alpha_at(self, t: int) -> float:
-        self._check_t(t, lo=1)
-        return float(self.alpha[t - 1])
+    def alpha_at(self, t):
+        return self._at(self.alpha, t, lo=1)
 
-    def alpha_bar_at(self, t: int) -> float:
-        self._check_t(t, lo=1)
-        return float(self.alpha_bar[t - 1])
+    def alpha_bar_at(self, t):
+        return self._at(self.alpha_bar, t, lo=1)
 
-    def sigma_at(self, t: int) -> float:
-        self._check_t(t, lo=2)
-        return float(self.sigma[t - 2])
+    def sigma_at(self, t):
+        return self._at(self.sigma, t, lo=2)
 
-    def clip_radius_at(self, t: int) -> float:
-        self._check_t(t, lo=2)
-        return float(self.clip_radius[t - 2])
+    def clip_radius_at(self, t):
+        return self._at(self.clip_radius, t, lo=2)
 
-    def _check_t(self, t: int, lo: int) -> None:
-        if not (lo <= t <= self.T):
+    def _at(self, values: np.ndarray, t, lo: int):
+        """values at step t: a float for an int t, an array for an int array t."""
+        self._check_t(t, lo)
+        picked = values[t - lo]
+        return picked if isinstance(t, np.ndarray) else float(picked)
+
+    def _check_t(self, t, lo: int) -> None:
+        low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+        if low < lo or high > self.T:
             raise IndexOutOfRange(f"step index {t} outside [{lo}, {self.T}]")
 
 
@@ -232,15 +236,14 @@ def schedule_lemma_checks(s: Schedule) -> CheckReport:
     ))
 
 
-def clip(s: Schedule, t: int, x: np.ndarray) -> np.ndarray:
+def clip(s: Schedule, t, x: np.ndarray) -> np.ndarray:
     """Threshold a vector (d,) or each row of a batch (n, d) by norm.
 
     Indicator semantics, not a projection: a row whose 2-norm exceeds the
     radius r_t maps to the zero vector, any other row is returned as is.
     A row with a NaN norm is not over the radius, so it passes through.
+    For a batch, t may also be an int array giving each row its own step.
     """
-    if not (2 <= t <= s.T):
-        raise IndexOutOfRange(f"clip step index {t} outside [2, {s.T}]")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != s.d:
         raise DimensionMismatch(f"expected vectors of dimension {s.d}, got shape {x.shape}")

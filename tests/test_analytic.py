@@ -8,7 +8,6 @@ from difflab import (
     ScheduleParams,
     ScoreModel,
     accelerated_step,
-    affine_step_coefficients,
     build_schedule,
     gaussian_kl,
     gaussian_target,
@@ -20,9 +19,20 @@ from difflab import (
     target_law,
 )
 from difflab import samplers
-from difflab.analytic import AFFINE_KINDS
+from difflab.analytic import _PROBE_STEPS, AFFINE_KINDS, _AffineScore, _step_maps
 from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.targets import forward_marginal
+
+
+def step_map(s, target, t, kind):
+    """(A, B, D, b) of step t, read off by the block probe for that one step."""
+    A, B, D, b = _step_maps(s, _AffineScore(target_law(target), s), kind, np.array([t]))
+    return A[0], B[0], D[0], b[0]
+
+
+def random_target(rng, d):
+    root = rng.standard_normal((d, d))
+    return gaussian_target(rng.standard_normal(d), root @ root.T + 0.5 * np.eye(d))
 
 
 def test_gaussian_law_validation():
@@ -66,28 +76,26 @@ def test_ode_coefficients_stationary():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
     t = 9
     a = s.alpha_at(t)
-    c = affine_step_coefficients(s, target_law(standard_normal_target(2)), t, "ode")
-    assert np.allclose(c.A, (1 - (1 - a) / 2) / math.sqrt(a) * np.eye(2), rtol=1e-14)
-    assert np.allclose(c.b, 0.0)
-    assert np.allclose(c.B, 0.0) and np.allclose(c.D, 0.0)
+    A, B, D, b = step_map(s, standard_normal_target(2), t, "ode")
+    assert np.allclose(A, (1 - (1 - a) / 2) / math.sqrt(a) * np.eye(2), rtol=1e-14)
+    assert np.allclose(b, 0.0)
+    assert np.allclose(B, 0.0) and np.allclose(D, 0.0)
 
 
 def test_ddpm_coefficients_stationary():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
     t = 9
     a = s.alpha_at(t)
-    c = affine_step_coefficients(s, target_law(standard_normal_target(2)), t, "ddpm")
+    A, B, D, b = step_map(s, standard_normal_target(2), t, "ddpm")
     # mean coefficient (1 - (1 - a)) / sqrt(a) = sqrt(a)
-    assert np.allclose(c.A, math.sqrt(a) * np.eye(2), rtol=1e-14)
+    assert np.allclose(A, math.sqrt(a) * np.eye(2), rtol=1e-14)
     # noise scale sqrt(1 - a) inside the 1/sqrt(a) rescaling
-    assert np.allclose(c.D, math.sqrt((1 - a) / a) * np.eye(2), rtol=1e-14)
-    assert np.allclose(c.b, 0.0) and np.allclose(c.B, 0.0)
+    assert np.allclose(D, math.sqrt((1 - a) / a) * np.eye(2), rtol=1e-14)
+    assert np.allclose(b, 0.0) and np.allclose(B, 0.0)
 
 
 def test_clip_enabled_kind_unsupported():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=1))
-    with pytest.raises(UnsupportedKind):
-        affine_step_coefficients(s, target_law(standard_normal_target(1)), 3, "accelerated")
     with pytest.raises(UnsupportedKind):
         propagate(s, target_law(standard_normal_target(1)), "accelerated")
 
@@ -112,11 +120,11 @@ def test_accelerated_coefficients_by_regression():
     r2 = 1.0 - float(residual[0]) / ss_tot if residual.size else 1.0
     assert r2 > 1 - 1e-10
 
-    c = affine_step_coefficients(s, target_law(target), t, "accelerated_noclip")
-    assert abs(coef[0] - c.A[0, 0]) < 1e-8
-    assert abs(coef[1] - c.B[0, 0]) < 1e-8
-    assert abs(coef[2] - c.D[0, 0]) < 1e-8
-    assert abs(coef[3] - c.b[0]) < 1e-8
+    A, B, D, b = step_map(s, target, t, "accelerated_noclip")
+    assert abs(coef[0] - A[0, 0]) < 1e-8
+    assert abs(coef[1] - B[0, 0]) < 1e-8
+    assert abs(coef[2] - D[0, 0]) < 1e-8
+    assert abs(coef[3] - b[0]) < 1e-8
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -125,14 +133,13 @@ def test_affine_coefficients_reproduce_step(kind, d):
     # the map read off the probe rows reproduces the step run under the
     # sampler's own exact score at random points
     rng = np.random.default_rng(17 + d)
-    root = rng.standard_normal((d, d))
-    target = gaussian_target(rng.standard_normal(d), root @ root.T + 0.5 * np.eye(d))
+    target = random_target(rng, d)
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=d))
     t = 5
-    c = affine_step_coefficients(s, target_law(target), t, kind)
+    A, B, D, b = step_map(s, target, t, kind)
     y, z_mid, z = rng.standard_normal((3, 20, d))
     direct, _ = samplers.step(kind, s, ScoreModel.exact(target, s), t, y, z_mid, z)
-    affine = y @ c.A.T + z_mid @ c.B.T + z @ c.D.T + c.b
+    affine = y @ A.T + z_mid @ B.T + z @ D.T + b
     assert np.allclose(direct, affine, rtol=1e-12, atol=1e-12)
 
 
@@ -158,7 +165,7 @@ def test_propagate_ode_deterministic_covariance():
     law = propagate(s, target, "ode")
     prod = np.eye(2)
     for t in range(s.T, 1, -1):
-        prod = affine_step_coefficients(s, target, t, "ode").A @ prod
+        prod = step_map(s, target, t, "ode")[0] @ prod
     assert np.allclose(law.cov, prod @ prod.T, rtol=1e-12)
 
 
@@ -166,10 +173,64 @@ def test_propagate_single_step_base_case():
     target = target_law(gaussian_target([1.0], np.array([[2.0]])))
     s = build_schedule(ScheduleParams(T=2, c0=1.0, c1=0.5, d=1))
     for kind in ("accelerated_noclip", "ddpm", "ode"):
-        c = affine_step_coefficients(s, target, 2, kind)
+        A, B, D, b = step_map(s, target, 2, kind)
         law = propagate(s, target, kind)
-        assert np.allclose(law.mean, c.b)  # A @ 0 + b
-        assert np.allclose(law.cov, c.A @ c.A.T + c.B @ c.B.T + c.D @ c.D.T)
+        assert np.allclose(law.mean, b)  # A @ 0 + b
+        assert np.allclose(law.cov, A @ A.T + B @ B.T + D @ D.T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_propagate_matches_sequential_fold(kind, d):
+    # the block-batched tree composition equals folding the same maps one
+    # step at a time, on both sides of every block boundary
+    target = random_target(np.random.default_rng(40 + d), d)
+    for T in (2, 3, _PROBE_STEPS, _PROBE_STEPS + 1, 2 * _PROBE_STEPS + 3):
+        s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=1.0, d=d))
+        maps = _step_maps(s, _AffineScore(target, s), kind, np.arange(T, 1, -1))
+        mean, cov = np.zeros(d), np.eye(d)
+        for A, B, D, b in zip(*maps):
+            mean = A @ mean + b
+            cov = A @ cov @ A.T + B @ B.T + D @ D.T
+        law = propagate(s, target, kind)
+        assert np.allclose(law.mean, mean, rtol=1e-12, atol=1e-12), T
+        assert np.allclose(law.cov, cov, rtol=1e-12, atol=1e-12), T
+
+
+def test_propagate_probe_rows_bounded_independently_of_T(monkeypatch):
+    d, T = 2, 16384
+    target = random_target(np.random.default_rng(3), d)
+    s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
+    rows = []
+    original = samplers.step
+
+    def bounded(kind, s, model, t, y, z_mid, z):
+        rows.append(len(y))
+        assert len(y) <= _PROBE_STEPS * (3 * d + 1)
+        return original(kind, s, model, t, y, z_mid, z)
+
+    monkeypatch.setattr(samplers, "step", bounded)
+    propagate(s, target, "accelerated_noclip")
+    assert sum(rows) == (T - 1) * (3 * d + 1)
+    assert len(rows) == -(-(T - 1) // _PROBE_STEPS)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_propagate_rotation_equivariant(kind, d):
+    # the noise is isotropic, so rotating the target rotates the final law;
+    # the analytic-rate oracle compares moments in the eigenbasis on this
+    rng = np.random.default_rng(60 + d)
+    target = random_target(rng, d)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    rot = q * np.sign(np.diag(r))
+    rotated = gaussian_target(rot @ target.mean, rot @ target.cov @ rot.T)
+    for T in (64, _PROBE_STEPS + 5):
+        s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
+        law = propagate(s, target, kind)
+        turned = propagate(s, rotated, kind)
+        assert np.allclose(turned.mean, rot @ law.mean, rtol=1e-12, atol=1e-12)
+        assert np.allclose(turned.cov, rot @ law.cov @ rot.T, rtol=1e-12, atol=1e-12)
 
 
 def test_propagate_matches_monte_carlo_moments():

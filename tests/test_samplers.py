@@ -9,12 +9,14 @@ from difflab import (
     accelerated_step,
     build_schedule,
     ddpm_step,
+    gaussian_target,
     ode_step,
     run_batch,
     standard_normal_target,
 )
+from difflab.analytic import _AffineScore
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
-from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words
+from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words, step
 from difflab.schedule import Schedule, clip as schedule_clip
 
 
@@ -185,6 +187,47 @@ def test_batch_rows_match_single_steps():
     for i in range(5):
         single, _ = accelerated_step(s, model, 3, y[i], z_mid[i], z[i])
         assert np.allclose(batch[i], single, rtol=1e-14)
+
+
+def gaussian_score(s, seed):
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((s.d, s.d))
+    return _AffineScore(gaussian_target(rng.standard_normal(s.d),
+                                        root @ root.T + 0.5 * np.eye(s.d)), s)
+
+
+@pytest.mark.parametrize("kind", ["accelerated", "accelerated_noclip", "ddpm", "ode"])
+def test_time_batched_step_matches_per_step_calls(kind):
+    # an int array t runs each row at its own step: the rows equal the
+    # per-t calls stacked back in row order; with clip on, the threshold
+    # acts row by row at each row's own radius
+    s = build_schedule(ScheduleParams(T=12, c0=2.0, c1=2.0, c_clip=0.2, d=2))
+    score = gaussian_score(s, 9)
+    rng = np.random.default_rng(10)
+    n = 400
+    t = rng.integers(2, s.T + 1, size=n)
+    y, z_mid, z = 2.0 * rng.standard_normal((3, n, 2))
+    batched, clipped = step(kind, s, score, t, y, z_mid, z)
+    stacked = np.empty_like(batched)
+    stacked_clipped = np.empty_like(clipped)
+    for k in np.unique(t):
+        rows = t == k
+        stacked[rows], stacked_clipped[rows] = step(kind, s, score, int(k), y[rows],
+                                                    z_mid[rows], z[rows])
+    assert np.allclose(batched, stacked, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(clipped, stacked_clipped)
+    if kind == "accelerated":
+        assert 0 < np.count_nonzero(clipped) < n
+
+
+@pytest.mark.parametrize("kind", ["accelerated", "accelerated_noclip", "ddpm", "ode"])
+def test_time_batched_step_index_errors(kind):
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
+    score = gaussian_score(s, 1)
+    zeros = np.zeros((3, 2))
+    for t in ([2, 1, 5], [9, 2, 2], [0, 0, 0]):
+        with pytest.raises(IndexOutOfRange):
+            step(kind, s, score, np.array(t), zeros, zeros, zeros)
 
 
 def test_noise_rows_are_chunk_invariant():

@@ -160,3 +160,15 @@ def test_accessors_guard_range():
         s.alpha_at(0)
     with pytest.raises(IndexOutOfRange):
         s.alpha_bar_at(5)
+
+
+def test_accessors_take_step_arrays():
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
+    t = np.array([2, 16, 7, 7])
+    for at in (s.alpha_at, s.alpha_bar_at, s.sigma_at, s.clip_radius_at):
+        assert np.array_equal(at(t), [at(int(k)) for k in t])
+        assert isinstance(at(7), float)
+        with pytest.raises(IndexOutOfRange):
+            at(np.array([3, 17]))
+    with pytest.raises(IndexOutOfRange):
+        s.sigma_at(np.array([1, 2]))
