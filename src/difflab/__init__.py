@@ -40,7 +40,6 @@ from .targets import (
     load_target,
     log_density,
     projected_cdf,
-    sample_forward,
     score,
     standard_normal_target,
 )
@@ -54,6 +53,6 @@ __all__ = [
     "ddpm_step", "fit_slope", "forward_marginal", "gaussian_kl",
     "gaussian_target", "gaussian_tv_bound", "load_target", "log_density",
     "moment_kl", "ode_step", "projected_cdf", "propagate", "run_batch",
-    "run_sweep", "sample_forward", "scalar_propagate", "schedule_lemma_checks",
-    "score", "sliced_tv", "standard_normal_target", "target_law",
+    "run_sweep", "scalar_propagate", "schedule_lemma_checks", "score",
+    "sliced_tv", "standard_normal_target", "target_law",
 ]

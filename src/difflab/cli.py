@@ -69,8 +69,7 @@ def cmd_analytic(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = harness.ExperimentConfig.from_json(args.config)
-    jobs = args.jobs if args.jobs is not None else harness.default_jobs()
-    report = harness.run_sweep(cfg, jobs=jobs)
+    report = harness.run_sweep(cfg, jobs=args.jobs)
     failed = sum(1 for r in report.rows if r["error"] is not None)
     print(f"wrote {len(report.rows)} rows ({failed} failed cells) to {report.out}")
     for kind, fit in report.slopes.items():
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
     return parser
 

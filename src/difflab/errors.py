@@ -26,10 +26,6 @@ class IndexOutOfRange(DiffLabError):
     """A step index lies outside its valid range."""
 
 
-class NotUnitVector(DiffLabError):
-    """A direction argument is not normalized."""
-
-
 class UnsupportedKind(DiffLabError):
     """The requested sampler variant is not supported by this operation."""
 
@@ -40,14 +36,6 @@ class DegenerateCovariance(DiffLabError):
 
 class TooFewSamples(DiffLabError):
     """Not enough samples for the requested estimator."""
-
-
-class InsufficientPoints(DiffLabError):
-    """Too few points for a regression fit."""
-
-
-class NonpositiveValue(DiffLabError):
-    """A value that must be positive (for log fitting) is not."""
 
 
 class ConfigInvalid(DiffLabError):

@@ -4,25 +4,24 @@ A sweep iterates the grid (sampler, horizon, score-error level) in a fixed
 order.  Gaussian targets get exact distribution propagation (and its
 closed-form divergences); mixture targets and error-injected cells get
 Monte Carlo batches plus empirical metrics.  Rows are appended to the CSV
-as soon as all earlier rows are written (crash-safe, deterministic order
-even with parallel cells), and log-log slopes are fitted per sampler over
+in grid order as soon as all earlier rows are written (crash-safe, the same
+order with parallel cells), and log-log slopes are fitted per sampler over
 zero-error cells at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analytic, metrics, targets
-from .errors import ConfigInvalid, DiffLabError, InsufficientPoints, NonpositiveValue
-from .samplers import KINDS, run_batch
+from .errors import ConfigInvalid, DiffLabError, InvalidParams
+from .samplers import KINDS, ordered_map, run_batch
 from .schedule import (
     DEFAULT_C0,
     DEFAULT_C1,
@@ -35,6 +34,7 @@ from .targets import GaussianMixture
 
 CSV_HEADER = ("sampler,T,d,eps_score,kl_analytic,tv_bound,"
               "sliced_tv,moment_kl,clip_rate,seed,wallclock_ms")
+_FIELDS = tuple(CSV_HEADER.split(","))
 
 _RELATIVE_MC_SAMPLES = 4096
 
@@ -54,11 +54,11 @@ def fit_slope(points) -> SlopeFit:
     """
     points = list(points)
     if len(points) < 3:
-        raise InsufficientPoints(f"slope fit needs >= 3 points, got {len(points)}")
+        raise InvalidParams(f"slope fit needs >= 3 points, got {len(points)}")
     t_vals = np.array([float(t) for t, _ in points])
     values = np.array([float(v) for _, v in points])
     if np.any(values <= 0):
-        raise NonpositiveValue("all values must be positive for a log-log fit")
+        raise InvalidParams("all values must be positive for a log-log fit")
     x = np.log(t_vals)
     y = np.log(values)
     x_c = x - x.mean()
@@ -210,10 +210,8 @@ def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
     leaving its metric fields empty."""
     start = time.perf_counter()
     seed = _cell_seed(cfg.seed, index)
-    row = {"sampler": kind, "T": T, "d": target.d, "eps_score": None,
-           "kl_analytic": None, "tv_bound": None, "sliced_tv": None,
-           "moment_kl": None, "clip_rate": None, "seed": seed,
-           "wallclock_ms": None, "error": None}
+    row = {**dict.fromkeys(_FIELDS), "sampler": kind, "T": T, "d": target.d,
+           "seed": seed, "error": None}
     try:
         row.update(_cell_metrics(target, cfg, seed, kind, T, score_cfg))
     except DiffLabError as exc:
@@ -231,9 +229,7 @@ def _format_value(value) -> str:
 
 
 def _row_line(row: dict) -> str:
-    fields = ["sampler", "T", "d", "eps_score", "kl_analytic", "tv_bound",
-              "sliced_tv", "moment_kl", "clip_rate", "seed", "wallclock_ms"]
-    return ",".join(_format_value(row[f]) for f in fields)
+    return ",".join(_format_value(row[f]) for f in _FIELDS)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
@@ -253,40 +249,19 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
         raise ConfigInvalid(f"Monte Carlo cells need n >= {metrics._MIN_SAMPLES}, "
                             f"got {cfg.n}")
 
-    cells = [(kind, T, sc) for kind in cfg.samplers for T in cfg.T_grid
-             for sc in score_cells]
-    rows: list[dict | None] = [None] * len(cells)
+    cells = [(target, cfg, i, *cell) for i, cell in
+             enumerate(itertools.product(cfg.samplers, cfg.T_grid, score_cells))]
+    rows = []
 
     with open(cfg.out, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
-        written = 0
-
-        def flush_ready():
-            nonlocal written
-            while written < len(cells) and rows[written] is not None:
-                row = rows[written]
-                fh.write(_row_line(row) + "\n")
-                if row["error"] is not None:
-                    fh.write(f"# cell_failed,{row['sampler']},{row['T']},{row['error']}\n")
-                fh.flush()
-                written += 1
-
-        if jobs > 1 and len(cells) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                pending = {
-                    pool.submit(_run_cell, target, cfg, i, *cell): i
-                    for i, cell in enumerate(cells)
-                }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        rows[pending.pop(fut)] = fut.result()
-                    flush_ready()
-        else:
-            for i, cell in enumerate(cells):
-                rows[i] = _run_cell(target, cfg, i, *cell)
-                flush_ready()
+        for row in ordered_map(_run_cell, cells, jobs):
+            fh.write(_row_line(row) + "\n")
+            if row["error"] is not None:
+                fh.write(f"# cell_failed,{row['sampler']},{row['T']},{row['error']}\n")
+            fh.flush()
+            rows.append(row)
 
         slopes = {}
         for kind in cfg.samplers:
@@ -308,12 +283,3 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
         fh.flush()
 
     return SweepReport(rows=tuple(rows), slopes=slopes, out=cfg.out)
-
-
-def default_jobs() -> int:
-    """Worker count fallback from the DIFFLAB_JOBS environment variable."""
-    raw = os.environ.get("DIFFLAB_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -168,6 +168,21 @@ def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
     return y, clip_count
 
 
+def ordered_map(fn, calls: list[tuple], jobs: int = 1):
+    """Yield fn(*call) for each call, in call order.
+
+    With ``jobs`` > 1 and more than one call, the calls run in a process
+    pool of at most min(jobs, len(calls)) workers; each result is yielded
+    as soon as it and every earlier one is done.
+    """
+    if jobs > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+            yield from pool.map(fn, *zip(*calls))
+    else:
+        for call in calls:
+            yield fn(*call)
+
+
 def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
               jobs: int = 1) -> TrajectoryBatch:
     """Run n reverse trajectories and return their outputs at t = 1.
@@ -180,15 +195,9 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
     if n < 1:
         raise InvalidParams("trajectory count must be >= 1")
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if jobs > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                _simulate_chunk,
-                *zip(*[(kind, s, model, seed, lo, hi) for lo, hi in spans]),
-            ))
-    else:
-        parts = [_simulate_chunk(kind, s, model, seed, lo, hi) for lo, hi in spans]
+    calls = [(kind, s, model, seed, lo, min(lo + _CHUNK, n))
+             for lo in range(0, n, _CHUNK)]
+    parts = list(ordered_map(_simulate_chunk, calls, jobs))
     y1 = np.vstack([p[0] for p in parts])
     clip_total = sum(p[1] for p in parts)
     return TrajectoryBatch(n=n, d=s.d, y1=y1, clip_activations=clip_total,

@@ -15,6 +15,7 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +102,10 @@ class ScoreModel:
         raise InvalidParams(f"unknown score mode {mode!r}")
 
     def marginal(self, t: int) -> GaussianMixture:
+        try:
+            t = operator.index(t)
+        except TypeError:
+            raise InvalidParams(f"score step must be one integer, got {t!r}") from None
         if not (1 <= t <= self.schedule.T):
             raise IndexOutOfRange(f"score step {t} outside [1, {self.schedule.T}]")
         law = self._marginals.get(t)

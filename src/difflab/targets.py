@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParams,
-    NotUnitVector,
     TargetLoadFailed,
 )
 from .schedule import Schedule
@@ -202,12 +201,6 @@ def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndar
     return out
 
 
-def sample_forward(target: GaussianMixture, s: Schedule, t: int, n: int,
-                   stream: np.random.Generator) -> np.ndarray:
-    """Draws from the step-t marginal via the one-shot noising identity."""
-    return sample(forward_marginal(target, s, t), n, stream)
-
-
 def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q):
     """CDF at q of the 1-D law of <direction, X> for X from the mixture.
 
@@ -218,7 +211,7 @@ def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q):
     if u.shape != (mix.d,):
         raise DimensionMismatch(f"direction must have dimension {mix.d}, got shape {u.shape}")
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise NotUnitVector(f"direction norm {np.linalg.norm(u)!r} != 1")
+        raise InvalidParams(f"direction norm {np.linalg.norm(u)!r} != 1")
     proj_means = mix.means @ u
     proj_sds = np.sqrt(np.einsum("i,kij,j->k", u, mix.covariances, u))
     q_arr = np.asarray(q, dtype=float)

@@ -12,8 +12,7 @@ from difflab import (
     standard_normal_target,
     target_law,
 )
-from difflab.cli import main
-from difflab.harness import default_jobs
+from difflab.cli import build_parser, main
 
 
 def write_target(tmp_path, d=2):
@@ -100,10 +99,9 @@ def test_sweep_cli(tmp_path, capsys):
     assert "slope[ode]" in printed and "slope[ddpm]" in printed
 
 
-def test_jobs_env_fallback(monkeypatch):
-    monkeypatch.setenv("DIFFLAB_JOBS", "6")
-    assert default_jobs() == 6
-    monkeypatch.setenv("DIFFLAB_JOBS", "not-a-number")
-    assert default_jobs() == 1
-    monkeypatch.delenv("DIFFLAB_JOBS")
-    assert default_jobs() == 1
+def test_jobs_default_to_one():
+    parser = build_parser()
+    assert parser.parse_args(["sweep", "--config", "c.json"]).jobs == 1
+    assert parser.parse_args(["sample", "--sampler", "ode", "--target", "t.json",
+                              "--T", "8", "--n", "1", "--seed", "0",
+                              "--out", "y.csv"]).jobs == 1

@@ -6,7 +6,7 @@ import pytest
 
 from difflab import ExperimentConfig, fit_slope, metrics, run_sweep
 from difflab.cli import main
-from difflab.errors import ConfigInvalid, InsufficientPoints, NonpositiveValue, TooFewSamples
+from difflab.errors import ConfigInvalid, InvalidParams, TooFewSamples
 from difflab.harness import CSV_HEADER
 
 
@@ -36,9 +36,9 @@ def test_fit_slope_two_decade_hand_example():
 
 
 def test_fit_slope_errors():
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(InvalidParams):
         fit_slope([(8, 1.0), (16, 0.5)])
-    with pytest.raises(NonpositiveValue):
+    with pytest.raises(InvalidParams):
         fit_slope([(8, 1.0), (16, 0.5), (32, 0.0)])
 
 
@@ -188,6 +188,17 @@ def test_sweep_parallel_cells_identical(tmp_path):
     data_a, _ = read_rows(cfg_a.out)
     data_b, _ = read_rows(cfg_b.out)
     assert strip(data_a) == strip(data_b)
+
+
+def test_sweep_pool_capped_at_the_cells(tmp_path, pool_sizes):
+    cfg = make_config(tmp_path, T_grid=[8, 16], out=str(tmp_path / "a.csv"))
+    pooled = run_sweep(cfg, jobs=64)
+    assert pool_sizes == [2]
+    assert [r["T"] for r in pooled.rows] == [8, 16]
+    serial = run_sweep(cfg, jobs=1)
+    assert pool_sizes == [2]
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in rows]
+    assert strip(pooled.rows) == strip(serial.rows)
 
 
 def test_degenerate_cell_fails_alone(tmp_path):

@@ -14,7 +14,7 @@ from difflab import (
 )
 from difflab.errors import DegenerateCovariance, InvalidParams, TooFewSamples
 from difflab.metrics import fit_gaussian, random_directions
-from difflab.targets import forward_marginal, sample, sample_forward
+from difflab.targets import forward_marginal, sample
 
 
 def stationary_law(d=2, T=16):
@@ -26,7 +26,7 @@ def stationary_law(d=2, T=16):
 def test_sliced_tv_vanishes_for_matching_batch():
     target, s, law = stationary_law()
     n = 100_000
-    batch = sample_forward(target, s, 1, n, np.random.default_rng(21))
+    batch = sample(law, n, np.random.default_rng(21))
     mean_tv, per_dir = sliced_tv(batch, law, n_dirs=8,
                                  stream=np.random.default_rng(1))
     # one-sample Kolmogorov statistic concentration band
@@ -48,7 +48,7 @@ def test_sliced_tv_disjoint_supports():
 
 def test_sliced_tv_deterministic_given_stream():
     target, s, law = stationary_law()
-    batch = sample_forward(target, s, 1, 2000, np.random.default_rng(5))
+    batch = sample(law, 2000, np.random.default_rng(5))
     a = sliced_tv(batch, law, n_dirs=6, stream=np.random.default_rng(9))
     b = sliced_tv(batch, law, n_dirs=6, stream=np.random.default_rng(9))
     assert a[0] == b[0]
@@ -71,7 +71,7 @@ def test_sliced_tv_needs_stream_or_directions():
 def test_sliced_tv_rotation_invariant():
     target, s, law = stationary_law(d=2)  # isotropic law: rotating it is a no-op
     rng = np.random.default_rng(12)
-    batch = sample_forward(target, s, 1, 4000, rng)
+    batch = sample(law, 4000, rng)
     dirs = random_directions(2, 5, np.random.default_rng(77))
     theta = 0.83
     rot = np.array([[math.cos(theta), -math.sin(theta)],
@@ -84,7 +84,7 @@ def test_sliced_tv_rotation_invariant():
 def test_moment_kl_noise_floor():
     target, s, law = stationary_law()
     n = 1_000_000
-    batch = sample_forward(target, s, 1, n, np.random.default_rng(100))
+    batch = sample(law, n, np.random.default_rng(100))
     value = moment_kl(batch, law)
     assert 0 <= value < 10 * (2**2) / n
 
@@ -93,7 +93,7 @@ def test_moment_kl_mean_shift():
     target, s, law = stationary_law()
     n = 400_000
     delta = 0.2
-    batch = sample_forward(target, s, 1, n, np.random.default_rng(8))
+    batch = sample(law, n, np.random.default_rng(8))
     batch = batch + np.array([delta, 0.0])
     value = moment_kl(batch, law)
     assert value == pytest.approx(delta**2 / 2, abs=1e-3)

@@ -16,7 +16,7 @@ from difflab import (
 )
 from difflab.analytic import _AffineScore
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
-from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words, step
+from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words, ordered_map, step
 from difflab.schedule import Schedule, clip as schedule_clip
 
 
@@ -250,6 +250,20 @@ def test_run_batch_deterministic_across_jobs():
     assert np.array_equal(one.y1, parallel.y1)
     assert one.clip_activations == parallel.clip_activations
     assert one.clip_activations <= n * (s.T - 1)
+
+
+def test_pool_capped_at_the_work(pool_sizes):
+    s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=1))
+    model = ScoreModel.exact(standard_normal_target(1), s)
+    n = 70_000  # three chunks
+    pooled = run_batch("ddpm", s, model, n, seed=3, jobs=5000)
+    assert pool_sizes == [3]
+    assert np.array_equal(pooled.y1, run_batch("ddpm", s, model, n, seed=3).y1)
+    # one call, or one job, never starts a pool
+    assert list(ordered_map(divmod, [(7, 2)], jobs=8)) == [(3, 1)]
+    assert list(ordered_map(divmod, [(7, 2), (9, 4)], jobs=1)) == [(3, 1), (2, 1)]
+    assert list(ordered_map(divmod, [(7, 2), (9, 4)], jobs=2)) == [(3, 1), (2, 1)]
+    assert pool_sizes == [3, 2]
 
 
 def test_run_batch_ode_reproducible():

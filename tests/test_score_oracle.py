@@ -8,6 +8,7 @@ from difflab import (
     ScheduleParams,
     ScoreModel,
     build_schedule,
+    samplers,
     standard_normal_target,
     targets,
 )
@@ -173,3 +174,18 @@ def test_marginals_built_on_first_use(monkeypatch):
     clone = pickle.loads(pickle.dumps(model))
     assert np.array_equal(clone.evaluate(5, x), first)
     assert np.array_equal(clone.evaluate(7, x), model.evaluate(7, x))
+
+
+def test_step_index_must_be_one_integer():
+    s = setup_schedule()
+    model = ScoreModel.offset(standard_normal_target(2), s, delta=0.3)
+    y = np.array([[0.3, -0.4], [1.2, 0.8]])
+    # the sampler's own score takes one step per call; a per-row t is refused
+    with pytest.raises(InvalidParams):
+        samplers.step("ddpm", s, model, np.array([2, 3]), y, None, np.zeros_like(y))
+    with pytest.raises(InvalidParams):
+        model.evaluate(np.array([3]), y)
+    with pytest.raises(InvalidParams):
+        model.evaluate(3.0, y)
+    assert np.array_equal(model.evaluate(np.int64(3), y), model.evaluate(3, y))
+    assert np.array_equal(model.evaluate(np.array(3), y), model.evaluate(3, y))

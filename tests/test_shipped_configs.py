@@ -7,6 +7,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import difflab
 from difflab import load_target
@@ -43,8 +44,10 @@ def test_shipped_sweep_configs_validate():
         assert cfg.T_grid == tuple(sorted(cfg.T_grid))
 
 
-def test_killed_sweep_leaves_only_complete_rows(tmp_path):
-    # a hard kill mid-sweep must never leave a partially written data row
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_killed_sweep_leaves_only_complete_rows(tmp_path, jobs):
+    # a hard kill mid-sweep, serial or pooled, must never leave a partially
+    # written data row
     target = tmp_path / "target.json"
     target.write_text(json.dumps({
         "d": 2,
@@ -71,8 +74,9 @@ def test_killed_sweep_leaves_only_complete_rows(tmp_path):
                  for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir] + inherited))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "difflab.cli", "sweep", "--config", str(cfg_path)],
-        cwd=str(tmp_path), env=env,
+        [sys.executable, "-m", "difflab.cli", "sweep", "--config", str(cfg_path),
+         "--jobs", jobs],
+        cwd=str(tmp_path), env=env, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     deadline = time.time() + 60
@@ -83,7 +87,9 @@ def test_killed_sweep_leaves_only_complete_rows(tmp_path):
             break
         time.sleep(0.1)
     if proc.poll() is None:
-        os.kill(proc.pid, signal.SIGKILL)
+        # the child leads its own process group, so this kills its pool
+        # workers too and leaves none orphaned
+        os.killpg(proc.pid, signal.SIGKILL)
     _, stderr = proc.communicate()
     assert proc.returncode in (0, -signal.SIGKILL), (
         f"sweep exited with {proc.returncode} before the kill:\n"
