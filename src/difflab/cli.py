@@ -7,6 +7,7 @@ import sys
 
 from . import analytic, harness, targets
 from .errors import DiffLabError
+from .harness import format_value
 from .samplers import run_batch
 from .schedule import (
     DEFAULT_C0,
@@ -18,10 +19,6 @@ from .schedule import (
 from .score_oracle import ScoreModel
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _schedule_params(args, d: int) -> ScheduleParams:
     return ScheduleParams(T=args.T, c0=args.c0, c1=args.c1, c_clip=args.cclip, d=d)
 
@@ -31,9 +28,9 @@ def cmd_schedule(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("t,alpha,alpha_bar,sigma,clip_radius\n")
         for t in range(1, s.T + 1):
-            sigma = _fmt(s.sigma_at(t)) if t >= 2 else ""
-            radius = _fmt(s.clip_radius_at(t)) if t >= 2 else ""
-            fh.write(f"{t},{_fmt(s.alpha_at(t))},{_fmt(s.alpha_bar_at(t))},"
+            sigma = format_value(s.sigma_at(t)) if t >= 2 else ""
+            radius = format_value(s.clip_radius_at(t)) if t >= 2 else ""
+            fh.write(f"{t},{format_value(s.alpha_at(t))},{format_value(s.alpha_bar_at(t))},"
                      f"{sigma},{radius}\n")
     return 0
 
@@ -49,7 +46,7 @@ def cmd_sample(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(",".join(f"y1_{j}" for j in range(target.d)) + "\n")
         for row in batch.y1:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(format_value(v) for v in row) + "\n")
         fh.write(f"# clip_activations={batch.clip_activations}\n")
     return 0
 
@@ -63,7 +60,7 @@ def cmd_analytic(args) -> int:
     tv = analytic.gaussian_tv_bound(law_1, p_y1)
     with open(args.out, "w") as fh:
         fh.write("sampler,T,d,kl,tv_bound\n")
-        fh.write(f"{args.sampler},{args.T},{target.d},{_fmt(kl)},{_fmt(tv)}\n")
+        fh.write(f"{args.sampler},{args.T},{target.d},{format_value(kl)},{format_value(tv)}\n")
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .schedule import (
     ScheduleParams,
     build_schedule,
 )
-from .score_oracle import ScoreModel
+from .score_oracle import MODES, ScoreModel
 from .targets import GaussianMixture
 
 CSV_HEADER = ("sampler,T,d,eps_score,kl_analytic,tv_bound,"
@@ -74,6 +75,14 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(slope=slope, stderr=stderr, r2=r2)
 
 
+def _integer(value, name: str) -> int:
+    """An integral number as an int (16.0 passes; 16.5, "16" and true do not)."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer()):
+        return int(value)
+    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated sweep description; see README for the JSON schema."""
@@ -92,9 +101,13 @@ class ExperimentConfig:
     mc: bool | None = None  # None = auto: mixtures and error-injected cells
 
     def __post_init__(self):
-        grid = tuple(int(t) for t in self.T_grid)
+        if not (isinstance(self.target_path, str) and isinstance(self.out, str)):
+            raise ConfigInvalid("target and out must be paths")
+        grid = tuple(_integer(t, "T_grid entry") for t in self.T_grid)
         object.__setattr__(self, "T_grid", grid)
         object.__setattr__(self, "samplers", tuple(self.samplers))
+        for name in ("n", "n_dirs", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if len(grid) < 1 or any(t < 4 for t in grid):
             raise ConfigInvalid("T_grid entries must be >= 4")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -104,35 +117,40 @@ class ExperimentConfig:
         for kind in self.samplers:
             if kind not in KINDS:
                 raise ConfigInvalid(f"unknown sampler {kind!r}")
-        if self.score.get("mode", "exact") not in ("exact", "offset", "relative"):
-            raise ConfigInvalid(f"unknown score mode {self.score.get('mode')!r}")
+        if not isinstance(self.score, dict) or self.score.get("mode", "exact") not in MODES:
+            raise ConfigInvalid(f"score must be an object with a mode in {MODES}, "
+                                f"got {self.score!r}")
         try:
-            levels = _score_cells(self.score)
+            levels = [level for _, level in _score_cells(self.score)]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad score config {self.score!r}: {exc}") from exc
-        if not levels:
-            raise ConfigInvalid("score error level list must not be empty")
+        if not levels or not all(map(math.isfinite, levels)):
+            raise ConfigInvalid(f"need one or more finite score error levels, got {levels}")
         if self.n_dirs < 1:
             raise ConfigInvalid("n_dirs must be >= 1")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
+        if not (self.mc is None or isinstance(self.mc, bool)):
+            raise ConfigInvalid(f"mc must be true, false or absent, got {self.mc!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        sched = raw.get("schedule", {}) if isinstance(raw, dict) else None
+        if not isinstance(sched, dict):
+            raise ConfigInvalid("a sweep config and its schedule must be JSON objects")
         try:
-            sched = raw.get("schedule", {})
             return cls(
                 target_path=raw["target"],
                 T_grid=tuple(raw["T_grid"]),
                 samplers=tuple(raw["samplers"]),
-                n=int(raw["n"]),
+                n=raw["n"],
                 out=raw["out"],
                 c0=float(sched.get("c0", DEFAULT_C0)),
                 c1=float(sched.get("c1", DEFAULT_C1)),
                 c_clip=float(sched.get("cclip", DEFAULT_C_CLIP)),
                 score=raw.get("score", {"mode": "exact"}),
-                n_dirs=int(raw.get("n_dirs", 32)),
-                seed=int(raw.get("seed", 0)),
+                n_dirs=raw.get("n_dirs", 32),
+                seed=raw.get("seed", 0),
                 mc=raw.get("mc"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -155,15 +173,14 @@ class SweepReport:
     out: str
 
 
-def _score_cells(score_cfg: dict) -> list[dict]:
-    """Expand the score config into per-cell fragments (a list means a grid)."""
+def _score_cells(score_cfg: dict) -> list[tuple[str, float]]:
+    """The (mode, level) pair of each score cell (a level list means a grid)."""
     mode = score_cfg.get("mode", "exact")
     if mode == "exact":
-        return [{"mode": "exact"}]
-    key = "delta" if mode == "offset" else "rho"
-    value = score_cfg[key]
+        return [("exact", 0.0)]
+    value = score_cfg["delta" if mode == "offset" else "rho"]
     levels = value if isinstance(value, (list, tuple)) else [value]
-    return [{"mode": mode, key: float(v)} for v in levels]
+    return [(mode, float(v)) for v in levels]
 
 
 def _cell_seed(base_seed: int, index: int) -> int:
@@ -177,25 +194,21 @@ def _wants_mc(cfg: ExperimentConfig, target: GaussianMixture, mode: str) -> bool
 
 
 def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
-                  kind: str, T: int, score_cfg: dict) -> dict:
+                  kind: str, T: int, mode: str, level: float) -> dict:
     """The metric fields of one cell's row; raises on any cell failure."""
     params = ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip, d=target.d)
     schedule = build_schedule(params)
-    model = ScoreModel.from_config(target, schedule, score_cfg)
-    if model.mode == "relative":
-        eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        eps = model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score
-    else:
-        eps = model.eps_score().eps_score
-    out = {"eps_score": eps}
+    model = ScoreModel(mode, target, schedule, level)
+    eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    out = {"eps_score": model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score}
 
     law_1 = targets.forward_marginal(target, schedule, 1)
-    if target.K == 1 and model.mode == "exact":
+    if target.K == 1 and mode == "exact":
         p_y1 = analytic.propagate(schedule, target, analytic.affine_kind(kind))
         out["kl_analytic"] = analytic.gaussian_kl(law_1, p_y1)
         out["tv_bound"] = analytic.gaussian_tv_bound(law_1, p_y1)
 
-    if _wants_mc(cfg, target, model.mode):
+    if _wants_mc(cfg, target, mode):
         batch = run_batch(kind, schedule, model, cfg.n, seed)
         dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         out["sliced_tv"], _ = metrics.sliced_tv(batch, law_1, cfg.n_dirs, dir_stream)
@@ -205,7 +218,7 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
 
 
 def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
-              kind: str, T: int, score_cfg: dict) -> dict:
+              kind: str, T: int, mode: str, level: float) -> dict:
     """One grid cell as a CSV row; any DiffLabError fails the cell alone,
     leaving its metric fields empty."""
     start = time.perf_counter()
@@ -213,14 +226,15 @@ def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
     row = {**dict.fromkeys(_FIELDS), "sampler": kind, "T": T, "d": target.d,
            "seed": seed, "error": None}
     try:
-        row.update(_cell_metrics(target, cfg, seed, kind, T, score_cfg))
+        row.update(_cell_metrics(target, cfg, seed, kind, T, mode, level))
     except DiffLabError as exc:
         row["error"] = str(exc)
     row["wallclock_ms"] = (time.perf_counter() - start) * 1e3
     return row
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A CSV field: floats round-trip exactly, None is empty."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -229,7 +243,7 @@ def _format_value(value) -> str:
 
 
 def _row_line(row: dict) -> str:
-    return ",".join(_format_value(row[f]) for f in _FIELDS)
+    return ",".join(format_value(row[f]) for f in _FIELDS)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
@@ -245,11 +259,11 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
             raise ConfigInvalid("target second moment exceeds the horizon bound")
     score_cells = _score_cells(cfg.score)
     if (cfg.n < metrics._MIN_SAMPLES
-            and any(_wants_mc(cfg, target, sc["mode"]) for sc in score_cells)):
+            and any(_wants_mc(cfg, target, mode) for mode, _ in score_cells)):
         raise ConfigInvalid(f"Monte Carlo cells need n >= {metrics._MIN_SAMPLES}, "
                             f"got {cfg.n}")
 
-    cells = [(target, cfg, i, *cell) for i, cell in
+    cells = [(target, cfg, i, kind, T, *score) for i, (kind, T, score) in
              enumerate(itertools.product(cfg.samplers, cfg.T_grid, score_cells))]
     rows = []
 
@@ -278,8 +292,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
             if len(points) >= 3:
                 fit = fit_slope(points)
                 slopes[kind] = fit
-                fh.write(f"# slope,{kind},{_format_value(fit.slope)},"
-                         f"{_format_value(fit.stderr)},{_format_value(fit.r2)}\n")
+                fh.write(f"# slope,{kind},{format_value(fit.slope)},"
+                         f"{format_value(fit.stderr)},{format_value(fit.r2)}\n")
         fh.flush()
 
     return SweepReport(rows=tuple(rows), slopes=slopes, out=cfg.out)

@@ -41,11 +41,8 @@ _WORDS_PER_BLOCK = 4
 class TrajectoryBatch:
     """Final-step outputs of n reverse trajectories plus clip accounting."""
 
-    n: int
-    d: int
     y1: np.ndarray            # (n, d)
     clip_activations: int     # steps where clip zeroed a nonzero input
-    rng_seed: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.y1)):
@@ -198,7 +195,5 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     calls = [(kind, s, model, seed, lo, min(lo + _CHUNK, n))
              for lo in range(0, n, _CHUNK)]
     parts = list(ordered_map(_simulate_chunk, calls, jobs))
-    y1 = np.vstack([p[0] for p in parts])
-    clip_total = sum(p[1] for p in parts)
-    return TrajectoryBatch(n=n, d=s.d, y1=y1, clip_activations=clip_total,
-                           rng_seed=seed)
+    return TrajectoryBatch(y1=np.vstack([p[0] for p in parts]),
+                           clip_activations=sum(p[1] for p in parts))

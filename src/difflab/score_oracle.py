@@ -1,14 +1,14 @@
 """Sampler-facing score interface: exact scores and controlled perturbations.
 
-Three modes:
+A score model is one (mode, level) pair over a target and a schedule:
 
   exact     s_t(x) = grad log p_t(x), evaluated in closed form from the
-            noised-marginal mixture at step t.
-  offset    s_t(x) = exact + delta_t * u_t for a fixed unit vector u_t.
-            The per-step root-mean-square error is delta_t exactly, since
-            the perturbation does not depend on x.
-  relative  s_t(x) = (1 + rho) * exact.  The per-step error is
-            |rho| * sqrt(E||s_t(X_t)||^2), estimated by Monte Carlo.
+            noised-marginal mixture at step t; the level must be 0.
+  offset    s_t(x) = exact + delta * e_1, with delta the level and e_1 the
+            first coordinate axis.  The per-step root-mean-square error is
+            |delta| exactly, since the perturbation does not depend on x.
+  relative  s_t(x) = (1 + rho) * exact, with rho the level.  The per-step
+            error is |rho| * sqrt(E||s_t(X_t)||^2), estimated by Monte Carlo.
 
 The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 """
@@ -48,58 +48,34 @@ class ScoreModel:
     mode: str
     target: GaussianMixture
     schedule: Schedule
-    delta: np.ndarray | None = None       # (T,), offset mode
-    rho: float = 0.0                      # relative mode
-    directions: np.ndarray | None = None  # (T, d), offset mode
+    level: float = 0.0  # delta in offset mode, rho in relative mode
     _marginals: dict[int, GaussianMixture] = field(default_factory=dict, init=False,
                                                    repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParams(f"unknown score mode {self.mode!r}")
+        level = np.asarray(self.level, dtype=float)
+        if level.shape or not np.isfinite(level) or (self.mode == "exact" and level):
+            raise InvalidParams(f"{self.mode} score level must be one finite number "
+                                f"(0 in exact mode), got {self.level!r}")
+        object.__setattr__(self, "level", float(level))
         if self.target.d != self.schedule.d:
             raise DimensionMismatch(
                 f"target dimension {self.target.d} != schedule dimension {self.schedule.d}"
             )
-        if self.mode == "offset":
-            if self.delta is None or self.delta.shape != (self.schedule.T,):
-                raise InvalidParams("offset mode needs a per-step delta array of length T")
-            if self.directions is None:
-                dirs = np.zeros((self.schedule.T, self.target.d))
-                dirs[:, 0] = 1.0
-                object.__setattr__(self, "directions", dirs)
-            norms = np.linalg.norm(self.directions, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise InvalidParams("offset directions must be unit vectors")
 
     @classmethod
     def exact(cls, target: GaussianMixture, schedule: Schedule) -> "ScoreModel":
-        return cls(mode="exact", target=target, schedule=schedule)
+        return cls("exact", target, schedule)
 
     @classmethod
-    def offset(cls, target: GaussianMixture, schedule: Schedule, delta,
-               directions: np.ndarray | None = None) -> "ScoreModel":
-        delta = np.asarray(delta, dtype=float)
-        if delta.ndim == 0:
-            delta = np.full(schedule.T, float(delta))
-        return cls(mode="offset", target=target, schedule=schedule,
-                   delta=delta, directions=directions)
+    def offset(cls, target: GaussianMixture, schedule: Schedule, delta: float) -> "ScoreModel":
+        return cls("offset", target, schedule, delta)
 
     @classmethod
     def relative(cls, target: GaussianMixture, schedule: Schedule, rho: float) -> "ScoreModel":
-        return cls(mode="relative", target=target, schedule=schedule, rho=float(rho))
-
-    @classmethod
-    def from_config(cls, target: GaussianMixture, schedule: Schedule, cfg: dict) -> "ScoreModel":
-        """Build from a config fragment {"mode": ..., "delta": ..., "rho": ...}."""
-        mode = cfg.get("mode", "exact")
-        if mode == "exact":
-            return cls.exact(target, schedule)
-        if mode == "offset":
-            return cls.offset(target, schedule, cfg["delta"])
-        if mode == "relative":
-            return cls.relative(target, schedule, cfg["rho"])
-        raise InvalidParams(f"unknown score mode {mode!r}")
+        return cls("relative", target, schedule, rho)
 
     def marginal(self, t: int) -> GaussianMixture:
         try:
@@ -118,25 +94,24 @@ class ScoreModel:
         """s_t(x); accepts a single vector (d,) or a batch (n, d)."""
         law = self.marginal(t)
         base = targets.score(law, x)
-        if self.mode == "exact":
-            return base
         if self.mode == "offset":
-            return base + self.delta[t - 1] * self.directions[t - 1]
-        return (1.0 + self.rho) * base
+            base[..., 0] += self.level
+        elif self.mode == "relative":
+            base *= 1.0 + self.level
+        return base
 
     def eps_score(self, mc_samples: int = 0,
                   stream: np.random.Generator | None = None) -> EpsReport:
         """Root-mean-square per-step error aggregated over the horizon.
 
-        Exact and offset modes are computed in closed form; relative mode
-        estimates E||s_t(X_t)||^2 with ``mc_samples`` draws per step and
-        reports the delta-method standard error of the aggregate.
+        Exact and offset modes are computed in closed form and ignore both
+        arguments; relative mode estimates E||s_t(X_t)||^2 with
+        ``mc_samples`` draws per step and reports the delta-method standard
+        error of the aggregate.
         """
         T = self.schedule.T
-        if self.mode == "exact":
-            return EpsReport(0.0, np.zeros(T))
-        if self.mode == "offset":
-            per_step = np.abs(self.delta)
+        if self.mode != "relative":
+            per_step = np.full(T, abs(self.level))
             return EpsReport(float(np.sqrt(np.mean(per_step**2))), per_step)
         if mc_samples < 1:
             raise InvalidParams("relative mode needs mc_samples >= 1")
@@ -149,10 +124,10 @@ class ScoreModel:
             sq = np.sum(targets.score(self.marginal(t), draws) ** 2, axis=1)
             mean_sq[t - 1] = sq.mean()
             var_sq[t - 1] = sq.var(ddof=1) / mc_samples if mc_samples > 1 else 0.0
-        per_step = np.abs(self.rho) * np.sqrt(mean_sq)
-        mean_eps_sq = float(self.rho**2 * np.mean(mean_sq))
+        per_step = abs(self.level) * np.sqrt(mean_sq)
+        mean_eps_sq = float(self.level**2 * np.mean(mean_sq))
         eps = float(np.sqrt(mean_eps_sq))
         # stderr of sqrt(mean of rho^2 * mean_sq): delta method
-        var_mean = float(self.rho**4 * np.sum(var_sq)) / T**2
+        var_mean = float(self.level**4 * np.sum(var_sq)) / T**2
         stderr = 0.5 * np.sqrt(var_mean) / eps if eps > 0 else 0.0
         return EpsReport(eps, per_step, stderr)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,8 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
 
 
 # parse_error: rejected by ExperimentConfig itself; otherwise by run_sweep,
-# which needs the target to know which cells run Monte Carlo
+# which needs the target to know which cells run Monte Carlo.  A list
+# override is the whole config.
 @pytest.mark.parametrize("override,parse_error", [
     ({"n_dirs": 0}, True),
     ({"seed": -1}, True),
@@ -101,12 +103,28 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"score": {"mode": "offset"}}, True),
     ({"n": 500, "target": MIXTURE_TARGET}, False),
     ({"n": 500, "mc": True}, False),
+    ({"score": "exact"}, True),
+    ({"schedule": [1, 2]}, True),
+    ([{"target": "target.json"}], True),
+    ({"mc": "false"}, True),
+    ({"T_grid": [16.5, 32]}, True),
+    ({"n": 1500.7}, True),
+    ({"n_dirs": 4.5}, True),
+    ({"seed": 12.5}, True),
+    ({"score": {"mode": "offset", "delta": [0.0, math.nan]}}, True),
+    ({"score": {"mode": "relative", "rho": math.nan}}, True),
+    ({"out": ["sweep.csv"]}, True),
 ], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
-        "mixture_n_below_floor", "forced_mc_n_below_floor"])
+        "mixture_n_below_floor", "forced_mc_n_below_floor", "score_not_object",
+        "schedule_not_object", "config_not_object", "mc_string", "fractional_T",
+        "fractional_n", "fractional_n_dirs", "fractional_seed", "nan_delta", "nan_rho",
+        "out_not_path"])
 def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
-    raw = {"target": write_target(tmp_path), "T_grid": [8, 16], "samplers": ["ddpm"],
-           "n": 2000, "n_dirs": 4, "seed": 123, "out": str(out), **override}
+    raw = override
+    if isinstance(override, dict):
+        raw = {"target": write_target(tmp_path), "T_grid": [8, 16], "samplers": ["ddpm"],
+               "n": 2000, "n_dirs": 4, "seed": 123, "out": str(out), **override}
     if parse_error:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig.from_dict(raw)
@@ -227,6 +245,22 @@ def test_mc_cells_for_offset_scores(tmp_path):
     for row in rows:
         assert row["sliced_tv"] is not None and row["moment_kl"] is not None
         assert row["kl_analytic"] is None  # analytic path needs exact scores
+
+
+def test_relative_score_sweep(tmp_path):
+    grid = dict(target=MIXTURE_TARGET, samplers=["ddpm"], T_grid=[8], n=1000,
+                score={"mode": "relative", "rho": [0.0, 0.2]})
+    strip = lambda rows: [",".join(r.split(",")[:-1]) for r in rows]
+    data = {}
+    for name, jobs in [("first", 1), ("again", 1), ("parallel", 2)]:
+        cfg = make_config(tmp_path, out=str(tmp_path / f"{name}.csv"), **grid)
+        rows = run_sweep(cfg, jobs=jobs).rows
+        assert [r["error"] for r in rows] == [None, None]
+        assert rows[0]["eps_score"] == 0.0 and rows[1]["eps_score"] > 0.0
+        assert all(r["sliced_tv"] is not None and r["moment_kl"] is not None for r in rows)
+        data[name] = strip(read_rows(cfg.out)[0])
+    assert data["again"] == data["first"]
+    assert data["parallel"] == data["first"]
 
 
 def test_all_rows_complete(tmp_path):

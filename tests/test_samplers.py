@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ from difflab import (
     build_schedule,
     ddpm_step,
     gaussian_target,
+    load_target,
     ode_step,
     run_batch,
+    samplers,
     standard_normal_target,
 )
 from difflab.analytic import _AffineScore
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
 from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words, ordered_map, step
 from difflab.schedule import Schedule, clip as schedule_clip
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def handcrafted_schedule(alpha_t=0.96, clip_radius=1.0, d=1):
@@ -252,6 +258,21 @@ def test_run_batch_deterministic_across_jobs():
     assert one.clip_activations <= n * (s.T - 1)
 
 
+def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    # a row's draws depend only on (seed, row), so the clip decisions and
+    # the outputs are the same for any chunking of the batch
+    target = load_target(str(CONFIGS / "mixture_2d_three.json"))
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
+    model = ScoreModel.exact(target, s)
+    n = 3000
+    default = run_batch("accelerated", s, model, n, seed=21)
+    monkeypatch.setattr(samplers, "_CHUNK", 997)  # four chunks, the last one short
+    chunked = run_batch("accelerated", s, model, n, seed=21)
+    assert default.clip_activations > 0
+    assert chunked.clip_activations == default.clip_activations
+    assert np.array_equal(chunked.y1, default.y1)
+
+
 def test_pool_capped_at_the_work(pool_sizes):
     s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=1))
     model = ScoreModel.exact(standard_normal_target(1), s)
@@ -296,5 +317,4 @@ def test_bad_batches_raise_difflab_errors():
     with pytest.raises(InvalidParams):
         run_batch("ode", s, model, 0, seed=0)
     with pytest.raises(InvalidParams):
-        TrajectoryBatch(n=2, d=1, y1=np.array([[0.0], [np.nan]]),
-                        clip_activations=0, rng_seed=0)
+        TrajectoryBatch(y1=np.array([[0.0], [np.nan]]), clip_activations=0)

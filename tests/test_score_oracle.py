@@ -37,14 +37,6 @@ def test_offset_mode_definitional():
     assert np.allclose(model.evaluate(4, x), expected, atol=1e-12)
 
 
-def test_offset_mode_custom_directions():
-    s = setup_schedule()
-    dirs = np.tile(np.array([0.0, 1.0]), (16, 1))
-    model = ScoreModel.offset(standard_normal_target(2), s, delta=0.5, directions=dirs)
-    x = np.zeros(2)
-    assert np.allclose(model.evaluate(7, x), [0.0, 0.5])
-
-
 def test_relative_mode_rho_zero_degenerate():
     s = setup_schedule()
     exact = ScoreModel.exact(standard_normal_target(2), s)
@@ -68,16 +60,6 @@ def test_eps_score_constant_offset():
     s = setup_schedule()
     model = ScoreModel.offset(standard_normal_target(2), s, delta=0.2)
     assert model.eps_score().eps_score == pytest.approx(0.2, abs=1e-15)
-
-
-def test_eps_score_half_steps_offset():
-    s = setup_schedule(T=16)
-    delta = np.zeros(16)
-    delta[:8] = 0.2
-    model = ScoreModel.offset(standard_normal_target(2), s, delta=delta)
-    expected = 0.2 / math.sqrt(2.0)
-    assert model.eps_score().eps_score == pytest.approx(expected, abs=1e-15)
-    assert abs(expected - 0.1414214) < 5e-8
 
 
 def test_eps_score_relative_monte_carlo():
@@ -118,7 +100,8 @@ def test_evaluate_is_pure():
 
 def test_errors():
     s = setup_schedule()
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    target = standard_normal_target(2)
+    model = ScoreModel.exact(target, s)
     with pytest.raises(IndexOutOfRange):
         model.evaluate(0, np.zeros(2))
     with pytest.raises(IndexOutOfRange):
@@ -126,19 +109,27 @@ def test_errors():
     with pytest.raises(DimensionMismatch):
         model.evaluate(3, np.zeros(3))
     with pytest.raises(InvalidParams):
-        ScoreModel.offset(standard_normal_target(2), s, delta=np.zeros(5))
-    with pytest.raises(InvalidParams):
-        ScoreModel(mode="bogus", target=standard_normal_target(2), schedule=s)
+        ScoreModel("bogus", target, s)
+    # the level is one finite number, and 0 in exact mode
+    for mode, level in [("offset", np.zeros(16)), ("offset", math.nan),
+                        ("relative", math.inf), ("relative", -math.inf), ("exact", 0.1)]:
+        with pytest.raises(InvalidParams):
+            ScoreModel(mode, target, s, level)
 
 
 def test_from_config():
+    # a sweep cell's (mode, level) pair builds the same model as the
+    # one-line constructors
     s = setup_schedule()
     target = standard_normal_target(2)
-    assert ScoreModel.from_config(target, s, {"mode": "exact"}).mode == "exact"
-    m = ScoreModel.from_config(target, s, {"mode": "offset", "delta": 0.1})
-    assert m.delta.shape == (16,)
-    m = ScoreModel.from_config(target, s, {"mode": "relative", "rho": -0.2})
-    assert m.rho == -0.2
+    assert ScoreModel("exact", target, s, 0.0) == ScoreModel.exact(target, s)
+    assert ScoreModel("offset", target, s, 0.1) == ScoreModel.offset(target, s, delta=0.1)
+    m = ScoreModel("relative", target, s, -0.2)
+    assert m == ScoreModel.relative(target, s, rho=-0.2)
+    assert (m.mode, m.level) == ("relative", -0.2)
+    x = np.array([[0.7, -1.1], [0.2, 0.4]])
+    exact = ScoreModel.exact(target, s).evaluate(5, x)
+    assert np.array_equal(m.evaluate(5, x), (1.0 - 0.2) * exact)
 
 
 def test_marginals_built_on_first_use(monkeypatch):
