@@ -45,14 +45,3 @@ from .targets import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport", "EpsReport", "ExperimentConfig", "GaussianMixture", "KINDS",
-    "Schedule", "ScheduleParams", "ScoreModel", "SlopeFit", "SweepReport",
-    "TrajectoryBatch", "accelerated_step", "build_schedule", "clip",
-    "ddpm_step", "fit_slope", "forward_marginal", "gaussian_kl",
-    "gaussian_target", "gaussian_tv_bound", "load_target", "log_density",
-    "moment_kl", "ode_step", "projected_cdf", "propagate", "run_batch",
-    "run_sweep", "scalar_propagate", "schedule_lemma_checks", "score",
-    "sliced_tv", "standard_normal_target", "target_law",
-]

@@ -8,7 +8,7 @@ import sys
 from . import analytic, harness, targets
 from .errors import DiffLabError
 from .harness import format_value
-from .samplers import run_batch
+from .samplers import KINDS, run_batch
 from .schedule import (
     DEFAULT_C0,
     DEFAULT_C1,
@@ -37,12 +37,9 @@ def cmd_schedule(args) -> int:
 
 def cmd_sample(args) -> int:
     target = targets.load_target(args.target)
-    kind = args.sampler
-    if kind == "accelerated" and args.no_clip:
-        kind = "accelerated_noclip"
     s = build_schedule(_schedule_params(args, target.d))
     model = ScoreModel.exact(target, s)
-    batch = run_batch(kind, s, model, args.n, args.seed, jobs=args.jobs)
+    batch = run_batch(args.sampler, s, model, args.n, args.seed, jobs=args.jobs)
     with open(args.out, "w") as fh:
         fh.write(",".join(f"y1_{j}" for j in range(target.d)) + "\n")
         for row in batch.y1:
@@ -93,19 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("sample", help="run reverse trajectories, write final points")
-    p.add_argument("--sampler", choices=["accelerated", "ddpm", "ode"], required=True)
+    p.add_argument("--sampler", choices=KINDS, required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--no-clip", action="store_true")
     _add_schedule_constants(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("analytic", help="exact final-law divergences for Gaussian targets")
-    p.add_argument("--sampler", choices=["accelerated", "ddpm", "ode"], required=True)
+    p.add_argument("--sampler", choices=KINDS, required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--T", type=int, required=True)
     _add_schedule_constants(p)

@@ -112,6 +112,11 @@ class ExperimentConfig:
             raise ConfigInvalid("T_grid entries must be >= 4")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigInvalid("T_grid must be strictly increasing")
+        try:
+            for T in grid:
+                ScheduleParams(T=T, c0=self.c0, c1=self.c1, c_clip=self.c_clip)
+        except InvalidParams as exc:
+            raise ConfigInvalid(f"bad schedule constants: {exc}") from exc
         if self.n < 1:
             raise ConfigInvalid("n must be >= 1")
         for kind in self.samplers:
@@ -145,9 +150,9 @@ class ExperimentConfig:
                 samplers=tuple(raw["samplers"]),
                 n=raw["n"],
                 out=raw["out"],
-                c0=float(sched.get("c0", DEFAULT_C0)),
-                c1=float(sched.get("c1", DEFAULT_C1)),
-                c_clip=float(sched.get("cclip", DEFAULT_C_CLIP)),
+                c0=sched.get("c0", DEFAULT_C0),
+                c1=sched.get("c1", DEFAULT_C1),
+                c_clip=sched.get("cclip", DEFAULT_C_CLIP),
                 score=raw.get("score", {"mode": "exact"}),
                 n_dirs=raw.get("n_dirs", 32),
                 seed=raw.get("seed", 0),
@@ -211,8 +216,8 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
     if _wants_mc(cfg, target, mode):
         batch = run_batch(kind, schedule, model, cfg.n, seed)
         dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        out["sliced_tv"], _ = metrics.sliced_tv(batch, law_1, cfg.n_dirs, dir_stream)
-        out["moment_kl"] = metrics.moment_kl(batch, law_1)
+        out["sliced_tv"], _ = metrics.sliced_tv(batch.y1, law_1, cfg.n_dirs, dir_stream)
+        out["moment_kl"] = metrics.moment_kl(batch.y1, law_1)
         out["clip_rate"] = batch.clip_activations / (cfg.n * (T - 1))
     return out
 

@@ -23,26 +23,21 @@ from .targets import GaussianMixture
 _MIN_SAMPLES = 1000
 
 
-def _batch_array(batch) -> np.ndarray:
-    return batch.y1 if hasattr(batch, "y1") else np.asarray(batch, dtype=float)
-
-
 def random_directions(d: int, n_dirs: int, stream: np.random.Generator) -> np.ndarray:
     """Uniform unit vectors via normalized Gaussian draws."""
     raw = stream.standard_normal((n_dirs, d))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def sliced_tv(batch, law: GaussianMixture, n_dirs: int = 32,
+def sliced_tv(y: np.ndarray, law: GaussianMixture, n_dirs: int = 32,
               stream: np.random.Generator | None = None,
               directions: np.ndarray | None = None):
-    """Mean 1-D Kolmogorov distance over random projections.
+    """Mean 1-D Kolmogorov distance over random projections of a batch y (n, d).
 
     For each direction u, computes the sup over sorted sample points of the
     gap between the empirical CDF of u'Y and the analytic projected CDF.
     Returns (mean, per_direction list of (direction, distance)).
     """
-    y = _batch_array(batch)
     n = y.shape[0]
     if n < _MIN_SAMPLES:
         raise TooFewSamples(f"sliced distance needs >= {_MIN_SAMPLES} samples, got {n}")
@@ -62,9 +57,8 @@ def sliced_tv(batch, law: GaussianMixture, n_dirs: int = 32,
     return mean, per_direction
 
 
-def fit_gaussian(batch) -> GaussianMixture:
-    """Moment-matched Gaussian of a batch (sample mean, sample covariance)."""
-    y = _batch_array(batch)
+def fit_gaussian(y: np.ndarray) -> GaussianMixture:
+    """Moment-matched Gaussian of a batch y (n, d): sample mean, sample covariance."""
     n, d = y.shape
     if n <= d + 1:
         raise TooFewSamples(f"need more than d + 1 = {d + 1} samples, got {n}")
@@ -76,10 +70,10 @@ def fit_gaussian(batch) -> GaussianMixture:
         raise DegenerateCovariance(f"sample covariance not positive-definite: {exc}") from exc
 
 
-def moment_kl(batch, law: GaussianMixture) -> float:
-    """Divergence from the analytic law to the batch's fitted Gaussian.
+def moment_kl(y: np.ndarray, law: GaussianMixture) -> float:
+    """Divergence from the analytic law to the fitted Gaussian of a batch y (n, d).
 
     For a Gaussian law this is exact up to the moment estimation error;
     a mixture law enters by its overall mean and covariance.
     """
-    return gaussian_kl(law, fit_gaussian(batch))
+    return gaussian_kl(law, fit_gaussian(y))

@@ -1,11 +1,12 @@
 """Reverse-process samplers: two-evaluation accelerated step, plain
 stochastic baseline, and a deterministic exponential-Euler step.
 
-All step operations take their Gaussian draws as arguments so that single
-steps can be hand-checked; ``run_batch`` owns stream management.  Batches
-use one counter-based Philox stream per seed, with trajectory i consuming
-a fixed, disjoint slice of the counter sequence, so results are identical
-bit for bit regardless of chunking or worker count.
+Every step takes a batch of points (n, d) and its Gaussian draws as
+arguments, so that single steps can be hand-checked on one-row batches;
+``run_batch`` owns stream management.  Batches use one counter-based
+Philox stream per seed, with trajectory i consuming a fixed, disjoint
+slice of the counter sequence, so results are identical bit for bit
+regardless of chunking or worker count.
 
 Trajectories start at Y_T ~ N(0, I), apply the chosen step for t = T..2,
 and stop at t = 1 (no step is defined at t = 1, where the step-noise level
@@ -21,9 +22,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidParams, UnsupportedKind
-from .schedule import Schedule, clip
+from .schedule import Schedule, _as_batch, clip
 from .score_oracle import ScoreModel
-from .targets import _as_batch
 
 KINDS = ("accelerated", "accelerated_noclip", "ddpm", "ode")
 
@@ -65,9 +65,9 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
     correction was zeroed by the norm threshold.
     """
     s._check_t(t, lo=2)
-    y, single = _as_batch(y, s.d)
-    z_mid, _ = _as_batch(z_mid, s.d)
-    z, _ = _as_batch(z, s.d)
+    y = _as_batch(y, s.d)
+    z_mid = _as_batch(z_mid, s.d)
+    z = _as_batch(z, s.d)
     a = _per_row(s.alpha_at(t))
     om = 1.0 - a
     sqrt_a = np.sqrt(a)
@@ -84,8 +84,6 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
         g = kept
 
     y_prev = (y + om * (s_t_y + a * g) + _per_row(s.sigma_at(t)) * z) / sqrt_a
-    if single:
-        return y_prev[0], bool(clipped[0])
     return y_prev, clipped
 
 
@@ -93,22 +91,20 @@ def ddpm_step(s: Schedule, model: ScoreModel, t, y, z):
     """One plain stochastic step: single score evaluation, noise level
     sqrt(1 - alpha_t) injected inside the 1/sqrt(alpha_t) rescaling."""
     s._check_t(t, lo=2)
-    y, single = _as_batch(y, s.d)
-    z, _ = _as_batch(z, s.d)
+    y = _as_batch(y, s.d)
+    z = _as_batch(z, s.d)
     a = _per_row(s.alpha_at(t))
     om = 1.0 - a
-    y_prev = (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
-    return y_prev[0] if single else y_prev
+    return (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
 
 
 def ode_step(s: Schedule, model: ScoreModel, t, y):
     """One deterministic step (exponential-Euler discretization of the
     deterministic reverse dynamics): half the score coefficient, no noise."""
     s._check_t(t, lo=2)
-    y, single = _as_batch(y, s.d)
+    y = _as_batch(y, s.d)
     a = _per_row(s.alpha_at(t))
-    y_prev = (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
-    return y_prev[0] if single else y_prev
+    return (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
 
 
 def step(kind: str, s: Schedule, model: ScoreModel, t, y, z_mid, z):

@@ -21,6 +21,7 @@ with no closed-form substitute.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,8 @@ DEFAULT_C_CLIP = 2.0
 class ScheduleParams:
     """Horizon, recursion constants, clip constant, and dimension.
 
-    T >= 2, d >= 1, and all three constants must be positive.
+    T >= 2, d >= 1, and all three constants must be positive finite real
+    numbers (a bool or a string is not one).
     """
 
     T: int
@@ -61,8 +63,9 @@ class ScheduleParams:
             raise InvalidParams(f"dimension d must be an integer >= 1, got {self.d}")
         for name in ("c0", "c1", "c_clip"):
             value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise InvalidParams(f"{name} must be a positive finite real, got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise InvalidParams(f"{name} must be a positive finite real, got {value!r}")
 
     @property
     def step_rate(self) -> float:
@@ -236,16 +239,23 @@ def schedule_lemma_checks(s: Schedule) -> CheckReport:
     ))
 
 
+def _as_batch(x, d: int) -> np.ndarray:
+    """x as a float batch of points (n, d), the one input form of every
+    point-wise function in the package."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatch(f"expected a batch (n, {d}), got shape {x.shape}")
+    return x
+
+
 def clip(s: Schedule, t, x: np.ndarray) -> np.ndarray:
-    """Threshold a vector (d,) or each row of a batch (n, d) by norm.
+    """Threshold each row of a batch x (n, d) by norm.
 
     Indicator semantics, not a projection: a row whose 2-norm exceeds the
     radius r_t maps to the zero vector, any other row is returned as is.
     A row with a NaN norm is not over the radius, so it passes through.
-    For a batch, t may also be an int array giving each row its own step.
+    t is one step for the batch, or an int array giving each row its own.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != s.d:
-        raise DimensionMismatch(f"expected vectors of dimension {s.d}, got shape {x.shape}")
-    over = np.linalg.norm(x, axis=-1) > s.clip_radius_at(t)
-    return np.where(over[..., None], 0.0, x)
+    x = _as_batch(x, s.d)
+    over = np.linalg.norm(x, axis=1) > s.clip_radius_at(t)
+    return np.where(over[:, None], 0.0, x)

@@ -91,11 +91,11 @@ class ScoreModel:
         return law
 
     def evaluate(self, t: int, x: np.ndarray) -> np.ndarray:
-        """s_t(x); accepts a single vector (d,) or a batch (n, d)."""
+        """s_t at the rows of a batch x (n, d), as a batch (n, d)."""
         law = self.marginal(t)
         base = targets.score(law, x)
         if self.mode == "offset":
-            base[..., 0] += self.level
+            base[:, 0] += self.level
         elif self.mode == "relative":
             base *= 1.0 + self.level
         return base

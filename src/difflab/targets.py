@@ -26,7 +26,7 @@ from .errors import (
     InvalidParams,
     TargetLoadFailed,
 )
-from .schedule import Schedule
+from .schedule import Schedule, _as_batch
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -113,10 +113,8 @@ class GaussianMixture:
 
 def gaussian_target(mean, cov) -> GaussianMixture:
     """Single-component mixture N(mean, cov)."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(mean.size)
     return GaussianMixture(np.array([1.0]), mean[None, :], cov[None, :, :])
 
 
@@ -144,16 +142,6 @@ def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMi
     )
 
 
-def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatch(f"expected vectors of dimension {d}, got shape {x.shape}")
-    return x, single
-
-
 def _component_terms(mix: GaussianMixture, x: np.ndarray):
     """All components of a batch in one pass.
 
@@ -170,27 +158,24 @@ def _component_terms(mix: GaussianMixture, x: np.ndarray):
     return top, np.exp(log_pdfs - top), pdiff
 
 
-def log_density(mix: GaussianMixture, x):
-    """Mixture log-density via a max-shifted log-sum-exp; finite for all
-    finite x."""
-    xb, single = _as_batch(x, mix.d)
-    top, scaled, _ = _component_terms(mix, xb)
-    values = top + np.log(scaled.sum(axis=0))
-    return float(values[0]) if single else values
+def log_density(mix: GaussianMixture, x) -> np.ndarray:
+    """Mixture log-density (n,) at the rows of a batch x (n, d), via a
+    max-shifted log-sum-exp; finite for all finite x."""
+    top, scaled, _ = _component_terms(mix, _as_batch(x, mix.d))
+    return top + np.log(scaled.sum(axis=0))
 
 
-def score(mix: GaussianMixture, x):
-    """Gradient of the mixture log-density at x: -sum_k r_k P_k (x - m_k).
+def score(mix: GaussianMixture, x) -> np.ndarray:
+    """Gradient (n, d) of the mixture log-density at the rows of a batch x
+    (n, d): -sum_k r_k P_k (x - m_k).
 
     Posterior responsibilities r_k are a max-shifted softmax over the
     components' log-pdfs; components that underflow contribute exactly
     zero weight.
     """
-    xb, single = _as_batch(x, mix.d)
-    _, scaled, pdiff = _component_terms(mix, xb)
+    _, scaled, pdiff = _component_terms(mix, _as_batch(x, mix.d))
     resp = scaled / scaled.sum(axis=0)
-    out = -np.einsum("kn,knd->nd", resp, pdiff)
-    return out[0] if single else out
+    return -np.einsum("kn,knd->nd", resp, pdiff)
 
 
 def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndarray:
@@ -201,8 +186,9 @@ def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndar
     return out
 
 
-def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q):
-    """CDF at q of the 1-D law of <direction, X> for X from the mixture.
+def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """CDF at each point of q (m,) of the 1-D law of <direction, X> for X
+    from the mixture.
 
     The projection of a mixture is the 1-D mixture of N(u'm_i, u'C_i u);
     its CDF is a weighted sum of Gaussian error functions.
@@ -214,11 +200,11 @@ def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q):
         raise InvalidParams(f"direction norm {np.linalg.norm(u)!r} != 1")
     proj_means = mix.means @ u
     proj_sds = np.sqrt(np.einsum("i,kij,j->k", u, mix.covariances, u))
-    q_arr = np.asarray(q, dtype=float)
-    scalar = q_arr.ndim == 0
-    z = (np.atleast_1d(q_arr)[:, None] - proj_means) / proj_sds
-    values = ndtr(z) @ mix.weights
-    return values.item() if scalar else values
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 1:
+        raise DimensionMismatch(f"q must be one axis of points, got shape {q.shape}")
+    z = (q[:, None] - proj_means) / proj_sds
+    return ndtr(z) @ mix.weights
 
 
 def load_target(path: str) -> GaussianMixture:

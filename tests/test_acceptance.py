@@ -101,11 +101,12 @@ def test_criterion_2_score_vs_finite_differences():
         s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=d))
         law = forward_marginal(gm, s, int(rng.integers(0, 17)))
         x = rng.standard_normal(d) * 1.5
-        exact = score(law, x)
+        exact = score(law, x[None])[0]
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fd = (log_density(law, x + e) - log_density(law, x - e)) / (2 * h)
+            fd = (log_density(law, (x + e)[None])[0]
+                  - log_density(law, (x - e)[None])[0]) / (2 * h)
             worst = max(worst, abs(exact[j] - fd))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -200,7 +201,7 @@ def test_criterion_5_score_error_monotonicity():
     for i, delta in enumerate((0.0, 0.1, 0.3)):
         model = ScoreModel.offset(target, s, delta=delta)
         batch = run_batch("accelerated", s, model, n, seed=2000 + i)
-        values.append(moment_kl(batch, law1))
+        values.append(moment_kl(batch.y1, law1))
     elapsed = time.perf_counter() - start
     ok = values[0] < values[1] < values[2] and elapsed < 90.0
     report(5, ok, "moment_kl = " + ", ".join(f"{v:.3e}" for v in values)
@@ -213,18 +214,18 @@ def test_criterion_6_clip_semantics():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=3))
     t = 7
     r = s.clip_radius_at(t)
-    zero = np.zeros(3)
+    zero = np.zeros((1, 3))
     checks = [
         np.array_equal(clip(s, t, zero), zero),
-        np.array_equal(clip(s, t, np.array([2 * r, 0.0, 0.0])), zero),
-        np.array_equal(clip(s, t, np.array([0.5 * r, 0.0, 0.0])),
-                       np.array([0.5 * r, 0.0, 0.0])),
+        np.array_equal(clip(s, t, np.array([[2 * r, 0.0, 0.0]])), zero),
+        np.array_equal(clip(s, t, np.array([[0.5 * r, 0.0, 0.0]])),
+                       np.array([[0.5 * r, 0.0, 0.0]])),
     ]
     rng = np.random.default_rng(606)
     idempotent = True
     for _ in range(1000):
         t_i = int(rng.integers(2, 17))
-        x = rng.standard_normal(3) * rng.uniform(0, 3)
+        x = rng.standard_normal((1, 3)) * rng.uniform(0, 3)
         once = clip(s, t_i, x)
         idempotent &= np.array_equal(clip(s, t_i, once), once)
     ok = all(checks) and idempotent

@@ -9,12 +9,15 @@ perfbench/; no bytecode is written there.
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import difflab
 from difflab import (
     ScheduleParams,
     ScoreModel,
@@ -96,3 +99,18 @@ def test_run_batch_reaches_step_through_the_module(monkeypatch):
     monkeypatch.setattr(samplers, "ddpm_step", record)
     samplers.run_batch("ddpm", s, model, 16, seed=1)
     assert steps == list(range(8, 1, -1))
+
+
+def test_package_names_resolve_after_a_bare_import():
+    # the benchmark times exactly this in a fresh interpreter for setup_s,
+    # so an __init__ edit that drops one of these names breaks it there
+    code = ("import difflab\n"
+            "difflab.targets.load_target\n"
+            "difflab.harness.ExperimentConfig.from_json\n"
+            "from difflab import analytic, build_schedule, targets, ScheduleParams\n")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

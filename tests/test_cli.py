@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from difflab import (
+    KINDS,
     ScheduleParams,
     build_schedule,
     forward_marginal,
@@ -54,13 +55,27 @@ def test_sample_csv_and_jobs_determinism(tmp_path):
     assert len(lines) == 2002
 
 
-def test_sample_no_clip_flag(tmp_path):
+def test_sample_noclip_sampler(tmp_path):
     target = write_target(tmp_path)
     out = tmp_path / "noclip.csv"
-    assert main(["sample", "--sampler", "accelerated", "--target", target,
-                 "--T", "8", "--n", "1200", "--seed", "7", "--no-clip",
+    assert main(["sample", "--sampler", "accelerated_noclip", "--target", target,
+                 "--T", "8", "--n", "1200", "--seed", "7",
                  "--c0", "2", "--c1", "2", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1] == "# clip_activations=0"
+
+
+def test_sampler_names_are_the_kinds(capsys):
+    # each sampler has one name, the same in sample, analytic and sweep configs
+    parser = build_parser()
+    common = ["--target", "t.json", "--T", "8", "--out", "y.csv"]
+    for kind in KINDS:
+        assert parser.parse_args(["sample", "--sampler", kind, "--n", "1", "--seed", "0",
+                                  *common]).sampler == kind
+        assert parser.parse_args(["analytic", "--sampler", kind, *common]).sampler == kind
+    with pytest.raises(SystemExit):  # the flag spelling of accelerated_noclip is gone
+        parser.parse_args(["sample", "--sampler", "ddpm", "--n", "1", "--seed", "0",
+                           "--no-clip", *common])
+    assert "unrecognized arguments: --no-clip" in capsys.readouterr().err
 
 
 def test_analytic_csv(tmp_path):

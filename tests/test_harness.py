@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from difflab import ExperimentConfig, fit_slope, metrics, run_sweep
+from difflab import ExperimentConfig, ScheduleParams, fit_slope, metrics, run_sweep
 from difflab.cli import main
 from difflab.errors import ConfigInvalid, InvalidParams, TooFewSamples
 from difflab.harness import CSV_HEADER
@@ -114,11 +119,16 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"score": {"mode": "offset", "delta": [0.0, math.nan]}}, True),
     ({"score": {"mode": "relative", "rho": math.nan}}, True),
     ({"out": ["sweep.csv"]}, True),
+    ({"schedule": {"c0": math.nan}}, True),
+    ({"schedule": {"c1": -1}}, True),
+    ({"schedule": {"cclip": 0}}, True),
+    ({"schedule": {"c0": True}}, True),
+    ({"schedule": {"cclip": "2"}}, True),
 ], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
         "mixture_n_below_floor", "forced_mc_n_below_floor", "score_not_object",
         "schedule_not_object", "config_not_object", "mc_string", "fractional_T",
         "fractional_n", "fractional_n_dirs", "fractional_seed", "nan_delta", "nan_rho",
-        "out_not_path"])
+        "out_not_path", "nan_c0", "negative_c1", "zero_cclip", "bool_c0", "string_cclip"])
 def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
     raw = override
@@ -138,6 +148,50 @@ def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("difflab: ConfigInvalid: ")
     assert not out.exists()
+
+
+# Any JSON value: null, bool, int, float (NaN and +-inf included), string,
+# list or object.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4)
+FUZZ_KEYS = ([(key,) for key in ("target", "T_grid", "samplers", "n", "out", "n_dirs",
+                                 "seed", "mc", "schedule", "score")]
+             + [("schedule", key) for key in ("c0", "c1", "cclip")]
+             + [("score", key) for key in ("mode", "delta")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(FUZZ_KEYS), value=JSON_VALUES)
+def test_config_fuzz_one_key(key, value):
+    # one key of a valid config gets a random JSON value: the config is
+    # either accepted whole or refused with ConfigInvalid, and the sweep
+    # command refuses it before writing anything; no fuzzed sweep is run
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = {"target": os.path.join(tmp, "target.json"), "T_grid": [8, 16],
+               "samplers": ["ddpm", "accelerated"], "n": 2000,
+               "out": os.path.join(tmp, "sweep.csv"), "n_dirs": 4, "seed": 3, "mc": False,
+               "schedule": {"c0": 2.0, "c1": 2.0, "cclip": 2.0},
+               "score": {"mode": "offset", "delta": [0.0, 0.1]}}
+        ExperimentConfig.from_dict(raw)
+        (raw if len(key) == 1 else raw[key[0]])[key[-1]] = value
+        raw = json.loads(json.dumps(raw))  # the values a config file can hold
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigInvalid:
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(raw, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["sweep", "--config", cfg_path]) == 1
+            assert err.getvalue().startswith("difflab: ConfigInvalid: ")
+            assert os.listdir(tmp) == ["cfg.json"]
+            return
+        for T in cfg.T_grid:
+            ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip)
 
 
 def test_small_n_allowed_without_monte_carlo(tmp_path):

@@ -12,9 +12,11 @@ from difflab import (
     ddpm_step,
     gaussian_target,
     load_target,
+    log_density,
     ode_step,
     run_batch,
     samplers,
+    score,
     standard_normal_target,
 )
 from difflab.analytic import _AffineScore
@@ -61,10 +63,10 @@ class CountingScore:
 
 def test_zero_score_step_reduces_to_rescaling():
     s = handcrafted_schedule()
-    y = np.array([1.7])
-    zero = np.zeros(1)
+    y = np.array([[1.7]])
+    zero = np.zeros((1, 1))
     y_prev, clipped = accelerated_step(s, ZeroScore(), 2, y, zero, zero)
-    assert not clipped
+    assert not clipped[0]
     assert np.allclose(y_prev, y / math.sqrt(0.96), rtol=1e-14)
     assert np.allclose(ddpm_step(s, ZeroScore(), 2, y, zero), y / math.sqrt(0.96))
     assert np.allclose(ode_step(s, ZeroScore(), 2, y), y / math.sqrt(0.96))
@@ -88,8 +90,8 @@ def test_accelerated_step_hand_evaluation():
     assert abs(expected - 0.79379) < 1e-5
 
     y_prev, clipped = accelerated_step(
-        s, model, 2, np.array([1.0]), np.array([0.5]), np.array([-1.0]))
-    assert not clipped
+        s, model, 2, np.array([[1.0]]), np.array([[0.5]]), np.array([[-1.0]]))
+    assert not clipped[0]
     assert np.allclose(y_prev, expected, rtol=1e-12)
 
 
@@ -100,15 +102,15 @@ def test_accelerated_step_clip_engages():
     sigma = math.sqrt(a - 1.0 / (3.0 - 2.0 * a))
     expected = (1.0 + 0.04 * (-1.0) + sigma * (-1.0)) / math.sqrt(a)
     y_prev, clipped = accelerated_step(
-        s, model, 2, np.array([1.0]), np.array([0.5]), np.array([-1.0]))
-    assert clipped
+        s, model, 2, np.array([[1.0]]), np.array([[0.5]]), np.array([[-1.0]]))
+    assert clipped[0]
     assert np.allclose(y_prev, expected, rtol=1e-12)
 
     # with use_clip=False the threshold is ignored
     y_prev, clipped = accelerated_step(
-        s, model, 2, np.array([1.0]), np.array([0.5]), np.array([-1.0]),
+        s, model, 2, np.array([[1.0]]), np.array([[0.5]]), np.array([[-1.0]]),
         use_clip=False)
-    assert not clipped
+    assert not clipped[0]
 
 
 def test_step_clip_matches_schedule_clip_operator():
@@ -116,31 +118,31 @@ def test_step_clip_matches_schedule_clip_operator():
     model = ScoreModel.exact(standard_normal_target(2), s)
     rng = np.random.default_rng(3)
     for t in [2, 5, 8]:
-        y = rng.standard_normal(2) * 3
-        z_mid = rng.standard_normal(2)
+        y = rng.standard_normal((1, 2)) * 3
+        z_mid = rng.standard_normal((1, 2))
         a = s.alpha_at(t)
         g_raw = (a**1.5 * model.evaluate(t - 1, (y + (1 - a) / (2 * a) * model.evaluate(t, y))
                                          / math.sqrt(a) + (1 - a) * z_mid)
                  - model.evaluate(t, y + (1 - a) * z_mid))
-        _, clipped = accelerated_step(s, model, t, y, z_mid, np.zeros(2))
-        assert clipped == bool(np.all(schedule_clip(s, t, g_raw) == 0.0)
-                               and np.linalg.norm(g_raw) > 0)
+        _, clipped = accelerated_step(s, model, t, y, z_mid, np.zeros((1, 2)))
+        assert clipped[0] == bool(np.all(schedule_clip(s, t, g_raw) == 0.0)
+                                  and np.linalg.norm(g_raw) > 0)
 
 
 def test_ddpm_step_hand_evaluation():
     s = handcrafted_schedule(alpha_t=0.96)
     model = ScoreModel.exact(standard_normal_target(1), s)
-    y_prev = ddpm_step(s, model, 2, np.array([1.0]), np.array([0.0]))
+    y_prev = ddpm_step(s, model, 2, np.array([[1.0]]), np.array([[0.0]]))
     assert np.allclose(y_prev, 0.96 / math.sqrt(0.96), rtol=1e-14)
-    assert abs(float(y_prev[0]) - 0.9798) < 1e-4
+    assert abs(float(y_prev[0, 0]) - 0.9798) < 1e-4
 
 
 def test_ode_step_hand_evaluation():
     s = handcrafted_schedule(alpha_t=0.96)
     model = ScoreModel.exact(standard_normal_target(1), s)
-    y_prev = ode_step(s, model, 2, np.array([1.0]))
+    y_prev = ode_step(s, model, 2, np.array([[1.0]]))
     assert np.allclose(y_prev, 0.98 / math.sqrt(0.96), rtol=1e-14)
-    assert abs(float(y_prev[0]) - 1.0002) < 1e-4
+    assert abs(float(y_prev[0, 0]) - 1.0002) < 1e-4
 
 
 def test_shared_noise_contract():
@@ -151,9 +153,9 @@ def test_shared_noise_contract():
     counter = CountingScore(ScoreModel.exact(standard_normal_target(2), s))
     rng = np.random.default_rng(0)
     t = 5
-    y = rng.standard_normal(2)
-    z_mid = rng.standard_normal(2)
-    accelerated_step(s, counter, t, y, z_mid, rng.standard_normal(2))
+    y = rng.standard_normal((1, 2))
+    z_mid = rng.standard_normal((1, 2))
+    accelerated_step(s, counter, t, y, z_mid, rng.standard_normal((1, 2)))
 
     steps = [t_ for t_, _ in counter.calls]
     assert steps.count(t) == 2
@@ -170,7 +172,7 @@ def test_shared_noise_contract():
 def test_step_index_and_dimension_errors():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     model = ScoreModel.exact(standard_normal_target(2), s)
-    z = np.zeros(2)
+    z = np.zeros((1, 2))
     for t in (1, 0, 9):  # no step is defined at t = 1 (early stopping)
         with pytest.raises(IndexOutOfRange):
             accelerated_step(s, model, t, z, z, z)
@@ -179,10 +181,12 @@ def test_step_index_and_dimension_errors():
         with pytest.raises(IndexOutOfRange):
             ode_step(s, model, t, z)
     with pytest.raises(DimensionMismatch):
-        ddpm_step(s, model, 2, np.zeros(3), np.zeros(3))
+        ddpm_step(s, model, 2, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_batch_rows_match_single_steps():
+    # rows are independent: each row of a batch step is the step of that row
+    # alone, as a one-row batch
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     model = ScoreModel.exact(standard_normal_target(2), s)
     rng = np.random.default_rng(8)
@@ -191,8 +195,28 @@ def test_batch_rows_match_single_steps():
     z = rng.standard_normal((5, 2))
     batch, _ = accelerated_step(s, model, 3, y, z_mid, z)
     for i in range(5):
-        single, _ = accelerated_step(s, model, 3, y[i], z_mid[i], z[i])
-        assert np.allclose(batch[i], single, rtol=1e-14)
+        single, _ = accelerated_step(s, model, 3, y[i:i + 1], z_mid[i:i + 1], z[i:i + 1])
+        assert np.allclose(batch[i], single[0], rtol=1e-14)
+
+
+def test_vectors_are_not_batches():
+    # every point-wise function takes (n, d) batches only; a bare (d,) vector
+    # is refused rather than read as one point
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
+    target = standard_normal_target(2)
+    model = ScoreModel.exact(target, s)
+    v = np.zeros(2)
+    calls = [lambda: score(target, v), lambda: log_density(target, v),
+             lambda: accelerated_step(s, model, 3, v, v, v),
+             lambda: accelerated_step(s, model, 3, v, v, v, use_clip=False),
+             lambda: ddpm_step(s, model, 3, v, v), lambda: ode_step(s, model, 3, v),
+             lambda: schedule_clip(s, 3, v), lambda: model.evaluate(3, v)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
+    row = v[None]
+    assert score(target, row).shape == (1, 2) and log_density(target, row).shape == (1,)
+    assert ddpm_step(s, model, 3, row, row).shape == schedule_clip(s, 3, row).shape == (1, 2)
 
 
 def gaussian_score(s, seed):

@@ -104,10 +104,10 @@ def test_clip_semantics():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=3))
     t = 5
     r = s.clip_radius_at(t)
-    zero = np.zeros(3)
+    zero = np.zeros((1, 3))
     assert np.array_equal(clip(s, t, zero), zero)
 
-    x = np.array([1.0, 1.0, 1.0])
+    x = np.array([[1.0, 1.0, 1.0]])
     over = x * (2.0 * r / np.linalg.norm(x))
     assert np.array_equal(clip(s, t, over), zero)
 
@@ -120,7 +120,7 @@ def test_clip_idempotent_on_random_vectors():
     rng = np.random.default_rng(20240817)
     for _ in range(200):
         t = int(rng.integers(2, 17))
-        x = rng.standard_normal(4) * rng.uniform(0.0, 5.0)
+        x = rng.standard_normal((1, 4)) * rng.uniform(0.0, 5.0)
         once = clip(s, t, x)
         assert np.array_equal(clip(s, t, once), once)
 
@@ -134,7 +134,7 @@ def test_batch_clip_is_rowwise_and_passes_nan():
     x[8, 1] = np.nan
     out = clip(s, t, x)
     for row, got in zip(x, out):
-        assert np.array_equal(got, clip(s, t, row), equal_nan=True)
+        assert np.array_equal(got, clip(s, t, row[None])[0], equal_nan=True)
     assert np.array_equal(out[7:9], x[7:9], equal_nan=True)
     norms = np.linalg.norm(x, axis=1)
     kept = norms <= s.clip_radius_at(t)
@@ -145,11 +145,11 @@ def test_batch_clip_is_rowwise_and_passes_nan():
 def test_clip_errors():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
     with pytest.raises(IndexOutOfRange):
-        clip(s, 1, np.zeros(2))
+        clip(s, 1, np.zeros((1, 2)))
     with pytest.raises(IndexOutOfRange):
-        clip(s, 17, np.zeros(2))
+        clip(s, 17, np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
-        clip(s, 2, np.zeros(3))
+        clip(s, 2, np.zeros((1, 3)))
 
 
 def test_accessors_guard_range():

@@ -25,14 +25,14 @@ def test_exact_mode_stationary_score():
     model = ScoreModel.exact(standard_normal_target(2), s)
     rng = np.random.default_rng(0)
     for t in [1, 5, 16]:
-        x = rng.standard_normal(2)
+        x = rng.standard_normal((1, 2))
         assert np.allclose(model.evaluate(t, x), -x, atol=1e-12)
 
 
 def test_offset_mode_definitional():
     s = setup_schedule()
     model = ScoreModel.offset(standard_normal_target(2), s, delta=0.3)
-    x = np.array([0.7, -1.1])
+    x = np.array([[0.7, -1.1]])
     expected = -x + np.array([0.3, 0.0])
     assert np.allclose(model.evaluate(4, x), expected, atol=1e-12)
 
@@ -44,7 +44,7 @@ def test_relative_mode_rho_zero_degenerate():
     rng = np.random.default_rng(1)
     for _ in range(100):
         t = int(rng.integers(1, 17))
-        x = rng.standard_normal(2)
+        x = rng.standard_normal((1, 2))
         assert np.array_equal(rel.evaluate(t, x), exact.evaluate(t, x))
 
 
@@ -94,7 +94,7 @@ def test_evaluate_is_pure():
         np.stack([np.eye(2), 0.5 * np.eye(2)]),
     )
     model = ScoreModel.exact(gm, s)
-    x = np.array([0.3, -0.4])
+    x = np.array([[0.3, -0.4]])
     assert np.array_equal(model.evaluate(5, x), model.evaluate(5, x))
 
 
@@ -103,11 +103,11 @@ def test_errors():
     target = standard_normal_target(2)
     model = ScoreModel.exact(target, s)
     with pytest.raises(IndexOutOfRange):
-        model.evaluate(0, np.zeros(2))
+        model.evaluate(0, np.zeros((1, 2)))
     with pytest.raises(IndexOutOfRange):
-        model.evaluate(17, np.zeros(2))
+        model.evaluate(17, np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
-        model.evaluate(3, np.zeros(3))
+        model.evaluate(3, np.zeros((1, 3)))
     with pytest.raises(InvalidParams):
         ScoreModel("bogus", target, s)
     # the level is one finite number, and 0 in exact mode

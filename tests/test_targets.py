@@ -121,7 +121,7 @@ def test_forward_marginal_limits():
 
 def test_log_density_standard_normal_peak():
     target = standard_normal_target(1)
-    value = log_density(target, np.zeros(1))
+    value = log_density(target, np.zeros((1, 1)))[0]
     assert abs(value - (-0.5 * math.log(2 * math.pi))) < 1e-12
     assert abs(value - (-0.9189385)) < 5e-8
 
@@ -133,8 +133,8 @@ def test_log_density_symmetry():
                          np.stack([cov, cov]))
     rng = np.random.default_rng(3)
     for _ in range(20):
-        x = rng.standard_normal(2) * 2
-        assert log_density(gm, x) == pytest.approx(log_density(gm, -x), abs=1e-12)
+        x = rng.standard_normal((1, 2)) * 2
+        assert log_density(gm, x)[0] == pytest.approx(log_density(gm, -x)[0], abs=1e-12)
 
 
 def test_log_density_matches_quadrature_1d():
@@ -142,20 +142,20 @@ def test_log_density_matches_quadrature_1d():
 
     rng = np.random.default_rng(11)
     gm = random_mixture(rng, d=1, K=3)
-    total, _ = quad(lambda u: math.exp(log_density(gm, np.array([u]))),
+    total, _ = quad(lambda u: math.exp(log_density(gm, np.array([[u]]))[0]),
                     -np.inf, np.inf)
     assert abs(total - 1.0) < 1e-8
     # adaptive quadrature of exp(log_density) reproduces the closed-form CDF
     for _ in range(5):
         q = float(rng.uniform(-3, 3))
-        integral, _ = quad(lambda u: math.exp(log_density(gm, np.array([u]))),
+        integral, _ = quad(lambda u: math.exp(log_density(gm, np.array([[u]]))[0]),
                            -np.inf, q)
-        assert abs(integral - projected_cdf(gm, np.array([1.0]), q)) < 1e-8
+        assert abs(integral - projected_cdf(gm, np.array([1.0]), np.array([q]))[0]) < 1e-8
 
 
 def test_score_standard_normal():
     target = standard_normal_target(2)
-    assert np.allclose(score(target, np.array([2.0, 0.0])), [-2.0, 0.0])
+    assert np.allclose(score(target, np.array([[2.0, 0.0]])), [[-2.0, 0.0]])
 
 
 def test_score_symmetric_mixture_zero_at_origin():
@@ -164,7 +164,7 @@ def test_score_symmetric_mixture_zero_at_origin():
         np.array([[1.0, 2.0], [-1.0, -2.0]]),
         np.stack([np.eye(2), np.eye(2)]),
     )
-    assert np.allclose(score(gm, np.zeros(2)), 0.0, atol=1e-15)
+    assert np.allclose(score(gm, np.zeros((1, 2))), 0.0, atol=1e-15)
 
 
 def finite_difference_score(law, x, h=1e-5):
@@ -172,7 +172,8 @@ def finite_difference_score(law, x, h=1e-5):
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
-        grad[j] = (log_density(law, x + e) - log_density(law, x - e)) / (2 * h)
+        grad[j] = (log_density(law, (x + e)[None])[0]
+                   - log_density(law, (x - e)[None])[0]) / (2 * h)
     return grad
 
 
@@ -184,7 +185,7 @@ def test_score_matches_finite_differences():
         t = int(rng.integers(0, 17))
         law = forward_marginal(gm, s, t)
         x = rng.standard_normal(3) * 1.5
-        exact = score(law, x)
+        exact = score(law, x[None])[0]
         fd = finite_difference_score(law, x)
         assert np.max(np.abs(exact - fd)) <= 1e-6
 
@@ -195,7 +196,7 @@ def test_score_batch_consistent_with_single():
     xs = rng.standard_normal((10, 2))
     batch = score(gm, xs)
     for i in range(10):
-        assert np.allclose(batch[i], score(gm, xs[i]))
+        assert np.allclose(batch[i], score(gm, xs[i:i + 1])[0])
 
 
 def reference_terms(gm, x):
@@ -252,7 +253,7 @@ def test_score_far_tail_single_surviving_component():
     np.testing.assert_allclose(value, grads[top], rtol=1e-12)
     assert math.isfinite(float(log_density(gm, x)[0]))
     with np.errstate(over="ignore", divide="ignore"):  # every Mahalanobis term overflows
-        assert log_density(gm, np.array([1e160, 0.0])) == -math.inf
+        assert log_density(gm, np.array([[1e160, 0.0]]))[0] == -math.inf
 
 
 def test_sampling_deterministic_and_moment_sane():
@@ -283,12 +284,15 @@ def test_sample_forward_matches_marginal_covariance():
 def test_projected_cdf_basics():
     target = standard_normal_target(3)
     u = np.array([1.0, 0.0, 0.0])
-    assert projected_cdf(target, u, 0.0) == pytest.approx(0.5, abs=1e-12)
-    assert projected_cdf(target, u, 40.0) == pytest.approx(1.0, abs=1e-12)
+    values = projected_cdf(target, u, np.array([0.0, 40.0]))
+    assert values[0] == pytest.approx(0.5, abs=1e-12)
+    assert values[1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidParams):
-        projected_cdf(target, 2 * u, 0.0)
+        projected_cdf(target, 2 * u, np.array([0.0]))
     with pytest.raises(DimensionMismatch):
-        projected_cdf(target, np.array([1.0, 0.0]), 0.0)
+        projected_cdf(target, np.array([1.0, 0.0]), np.array([0.0]))
+    with pytest.raises(DimensionMismatch):  # q is an array of points, not a scalar
+        projected_cdf(target, u, 0.0)
 
 
 def test_projected_cdf_matches_monte_carlo():
@@ -297,7 +301,7 @@ def test_projected_cdf_matches_monte_carlo():
     n = 10_000_000
     draws = sample(gm, n, np.random.default_rng(4))
     q = 1.0
-    analytic = projected_cdf(gm, u, q)
+    analytic = projected_cdf(gm, u, np.array([q]))[0]
     empirical = np.mean(draws[:, 0] <= q)
     se = math.sqrt(analytic * (1 - analytic) / n)
     assert abs(empirical - analytic) < 3 * se
