@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .schedule import (
     DEFAULT_C_CLIP,
     ScheduleParams,
     build_schedule,
+    is_real,
 )
 from .score_oracle import MODES, ScoreModel
 from .targets import GaussianMixture
@@ -77,8 +77,7 @@ def fit_slope(points) -> SlopeFit:
 
 def _integer(value, name: str) -> int:
     """An integral number as an int (16.0 passes; 16.5, "16" and true do not)."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and float(value).is_integer()):
+    if is_real(value) and float(value).is_integer():
         return int(value)
     raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
 
@@ -127,10 +126,10 @@ class ExperimentConfig:
                                 f"got {self.score!r}")
         try:
             levels = [level for _, level in _score_cells(self.score)]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ConfigInvalid(f"bad score config {self.score!r}: {exc}") from exc
-        if not levels or not all(map(math.isfinite, levels)):
-            raise ConfigInvalid(f"need one or more finite score error levels, got {levels}")
+        if not levels or not all(is_real(v) and math.isfinite(v) for v in levels):
+            raise ConfigInvalid(f"need one or more finite real score levels, got {levels!r}")
         if self.n_dirs < 1:
             raise ConfigInvalid("n_dirs must be >= 1")
         if self.seed < 0:
@@ -158,7 +157,7 @@ class ExperimentConfig:
                 seed=raw.get("seed", 0),
                 mc=raw.get("mc"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad sweep config: {exc}") from exc
 
     @classmethod
@@ -185,7 +184,7 @@ def _score_cells(score_cfg: dict) -> list[tuple[str, float]]:
         return [("exact", 0.0)]
     value = score_cfg["delta" if mode == "offset" else "rho"]
     levels = value if isinstance(value, (list, tuple)) else [value]
-    return [(mode, float(v)) for v in levels]
+    return [(mode, v) for v in levels]
 
 
 def _cell_seed(base_seed: int, index: int) -> int:

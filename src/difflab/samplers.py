@@ -27,9 +27,9 @@ from .score_oracle import ScoreModel
 
 KINDS = ("accelerated", "accelerated_noclip", "ddpm", "ode")
 
-# Trajectories per work unit; fixed so that chunk boundaries (and therefore
-# all random draws) never depend on n or on the worker count.
-_CHUNK = 32768
+# Uniform-draw bytes per work unit, whatever T: rows per chunk follow from it,
+# and never change an output, since a row's draws depend only on (seed, row).
+_NOISE_BYTES = 16 * 2**20
 
 # Philox.advance(k) skips k counter blocks of 4 uint64 outputs; one uniform
 # double consumes one output word, so per-row layouts are padded to a
@@ -132,31 +132,29 @@ def _row_words(T: int, d: int) -> tuple[int, int]:
 
 
 def _noise_rows(seed: int, lo: int, hi: int, T: int, d: int) -> np.ndarray:
-    """Standard-normal noise for trajectories lo..hi-1 of a batch.
+    """Standard-normal noise for trajectories lo..hi-1 of a batch, step-major.
 
-    Row i is the inverse-CDF transform of uniform words at counter
-    positions [i * padded, i * padded + used); the slice depends only on
-    (seed, i), never on chunking.
+    Returns a (2T - 1, hi - lo, d) array: [0] is Y_T, and [2k + 1], [2k + 2]
+    are z_mid and z of step t = T - k.  Row i is the inverse-CDF transform of
+    uniform words at counter positions [i * padded, i * padded + used), in
+    that order; the slice depends only on (seed, i), never on chunking.
     """
     used, padded = _row_words(T, d)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(lo * padded // _WORDS_PER_BLOCK)
     u = np.random.Generator(bitgen).random((hi - lo, padded))
-    return ndtri(np.maximum(u[:, :used], 2.0**-54))
+    np.maximum(u, 2.0**-54, out=u)
+    draws = u[:, :used].reshape(hi - lo, 2 * T - 1, d).transpose(1, 0, 2)
+    return ndtri(draws, out=np.empty(draws.shape))
 
 
 def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
                     lo: int, hi: int) -> tuple[np.ndarray, int]:
-    d = s.d
-    noise = _noise_rows(seed, lo, hi, s.T, d)
-    y = noise[:, :d]
+    noise = _noise_rows(seed, lo, hi, s.T, s.d)
+    y = noise[0]
     clip_count = 0
-    col = d
-    for t in range(s.T, 1, -1):
-        z_mid = noise[:, col:col + d]
-        z = noise[:, col + d:col + 2 * d]
-        col += 2 * d
-        y, clipped = step(kind, s, model, t, y, z_mid, z)
+    for k, t in enumerate(range(s.T, 1, -1)):
+        y, clipped = step(kind, s, model, t, y, noise[2 * k + 1], noise[2 * k + 2])
         clip_count += int(np.count_nonzero(clipped))
     return y, clip_count
 
@@ -181,15 +179,16 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     """Run n reverse trajectories and return their outputs at t = 1.
 
     Output is bit-identical for any ``jobs`` value: every trajectory's
-    draws come from its own counter slice, chunks are fixed-size, and
-    results are assembled in trajectory order.
+    draws come from its own counter slice, and results are assembled in
+    trajectory order.  A chunk holds the rows that ``_NOISE_BYTES`` allows.
     """
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
     if n < 1:
         raise InvalidParams("trajectory count must be >= 1")
-    calls = [(kind, s, model, seed, lo, min(lo + _CHUNK, n))
-             for lo in range(0, n, _CHUNK)]
+    rows = max(1, _NOISE_BYTES // (8 * _row_words(s.T, s.d)[1]))
+    calls = [(kind, s, model, seed, lo, min(lo + rows, n))
+             for lo in range(0, n, rows)]
     parts = list(ordered_map(_simulate_chunk, calls, jobs))
     return TrajectoryBatch(y1=np.vstack([p[0] for p in parts]),
                            clip_activations=sum(p[1] for p in parts))

@@ -42,12 +42,16 @@ DEFAULT_C1 = 4.0
 DEFAULT_C_CLIP = 2.0
 
 
+def is_real(value) -> bool:
+    """Whether a value is a real number: a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Horizon, recursion constants, clip constant, and dimension.
 
-    T >= 2, d >= 1, and all three constants must be positive finite real
-    numbers (a bool or a string is not one).
+    T >= 2, d >= 1, and all three constants must be positive, finite and real.
     """
 
     T: int
@@ -63,8 +67,7 @@ class ScheduleParams:
             raise InvalidParams(f"dimension d must be an integer >= 1, got {self.d}")
         for name in ("c0", "c1", "c_clip"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value < math.inf):
+            if not (is_real(value) and 0 < value < math.inf):
                 raise InvalidParams(f"{name} must be a positive finite real, got {value!r}")
 
     @property
@@ -130,11 +133,15 @@ def build_schedule(params: ScheduleParams) -> Schedule:
 
     Deterministic; raises ScheduleDegenerate if any per-step rate falls to
     1/2 or below, or if the cumulative rate saturates to 1.0 in floating
-    point (both signal c1 * log(T) / T too large for this horizon).
+    point (both signal c1 * log(T) / T too large for this horizon), and
+    InvalidParams if no array of T doubles can be allocated.
     """
     T = params.T
+    try:
+        abar = np.empty(T)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidParams(f"no memory for a schedule of T = {T} steps: {exc}") from exc
     rate = params.step_rate
-    abar = np.empty(T)
     abar[T - 1] = float(T) ** (-params.c0)
     for t in range(T, 1, -1):
         a = abar[t - 1]

@@ -124,11 +124,16 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"schedule": {"cclip": 0}}, True),
     ({"schedule": {"c0": True}}, True),
     ({"schedule": {"cclip": "2"}}, True),
+    ({"score": {"mode": "offset", "delta": True}}, True),
+    ({"score": {"mode": "offset", "delta": "0.1"}}, True),
+    ({"score": {"mode": "relative", "rho": ["0.2", False]}}, True),
+    ({"T_grid": [16, 10**400]}, True),
 ], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
         "mixture_n_below_floor", "forced_mc_n_below_floor", "score_not_object",
         "schedule_not_object", "config_not_object", "mc_string", "fractional_T",
         "fractional_n", "fractional_n_dirs", "fractional_seed", "nan_delta", "nan_rho",
-        "out_not_path", "nan_c0", "negative_c1", "zero_cclip", "bool_c0", "string_cclip"])
+        "out_not_path", "nan_c0", "negative_c1", "zero_cclip", "bool_c0", "string_cclip",
+        "bool_delta", "string_delta", "string_and_bool_rho", "T_past_floats"])
 def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
     raw = override
@@ -222,6 +227,25 @@ def test_any_difflab_error_fails_its_cell_alone(tmp_path, monkeypatch):
     assert data[1].split(",")[3:9] == [""] * 6
     for line in (data[0], data[2]):
         assert "" not in line.split(",")
+
+
+@pytest.mark.parametrize("huge_T", [1e20, 1e300])
+def test_unbuildable_horizon_fails_its_cell_alone(tmp_path, capsys, huge_T):
+    # no schedule of 1e20 steps fits in memory, and 1e300**10 overflows a
+    # float: the cell fails alone, with no traceback and the T = 16 row complete
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"target": write_target(tmp_path), "T_grid": [16, huge_T],
+                                    "samplers": ["ode"], "n": 2000, "out": str(out)}))
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    data, comments = read_rows(out)
+    assert len(data) == 2
+    assert "" not in data[0].split(",")[:6]
+    assert data[1].split(",")[1] == str(int(huge_T))
+    assert data[1].split(",")[3:9] == [""] * 6
+    [failed] = comments
+    assert failed.startswith(f"# cell_failed,ode,{int(huge_T)},no memory for a schedule")
 
 
 def test_single_cell_sweep_skips_slopes(tmp_path):

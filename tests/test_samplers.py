@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,17 +263,22 @@ def test_time_batched_step_index_errors(kind):
 
 def test_noise_rows_are_chunk_invariant():
     T, d, seed = 8, 2, 4242
-    whole = _noise_rows(seed, 0, 20, T, d)
+    whole = _noise_rows(seed, 0, 20, T, d)  # step-major: (2T - 1, rows, d)
     part = _noise_rows(seed, 7, 20, T, d)
-    assert np.array_equal(whole[7:], part)
+    assert np.array_equal(whole[:, 7:], part)
     used, padded = _row_words(T, d)
     assert used == d * (1 + 2 * (T - 1)) and padded % 4 == 0
+
+
+def chunk_rows(T, d):
+    """Trajectories per ``run_batch`` chunk at horizon T and dimension d."""
+    return samplers._NOISE_BYTES // (8 * _row_words(T, d)[1])
 
 
 def test_run_batch_deterministic_across_jobs():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     model = ScoreModel.exact(standard_normal_target(2), s)
-    n = 70_000  # spans three fixed-size chunks
+    n = 2 * chunk_rows(8, 2) + 4465  # spans three chunks, the last one short
     one = run_batch("accelerated", s, model, n, seed=11, jobs=1)
     again = run_batch("accelerated", s, model, n, seed=11, jobs=1)
     parallel = run_batch("accelerated", s, model, n, seed=11, jobs=4)
@@ -290,17 +296,35 @@ def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     model = ScoreModel.exact(target, s)
     n = 3000
     default = run_batch("accelerated", s, model, n, seed=21)
-    monkeypatch.setattr(samplers, "_CHUNK", 997)  # four chunks, the last one short
+    _, padded = _row_words(16, 2)
+    # 997 rows per chunk: four chunks, the last one short
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", 997 * 8 * padded)
     chunked = run_batch("accelerated", s, model, n, seed=21)
     assert default.clip_activations > 0
     assert chunked.clip_activations == default.clip_activations
     assert np.array_equal(chunked.y1, default.y1)
 
 
+@pytest.mark.parametrize("T, n", [(64, 32768), (1024, 1024)])
+def test_sampling_memory_does_not_grow_with_T(T, n):
+    # a chunk holds only the rows whose uniform draws fit the noise budget,
+    # so the peak is the uniform block, its normal transform and a few MiB
+    # of per-step arrays, at any horizon
+    s = build_schedule(ScheduleParams(T=T, d=2))
+    model = ScoreModel.exact(standard_normal_target(2), s)
+    tracemalloc.start()
+    try:
+        run_batch("accelerated", s, model, n, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * samplers._NOISE_BYTES + 4 * 2**20
+
+
 def test_pool_capped_at_the_work(pool_sizes):
     s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=1))
     model = ScoreModel.exact(standard_normal_target(1), s)
-    n = 70_000  # three chunks
+    n = 2 * chunk_rows(4, 1) + 4465  # three chunks, the last one short
     pooled = run_batch("ddpm", s, model, n, seed=3, jobs=5000)
     assert pool_sizes == [3]
     assert np.array_equal(pooled.y1, run_batch("ddpm", s, model, n, seed=3).y1)

@@ -55,6 +55,10 @@ def test_mixture_validation():
     with pytest.raises(InvalidParams):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)),
                         np.array([[[1.0, 0.5], [0.4, 1.0]]]))  # asymmetric
+    with pytest.raises(InvalidParams):  # one component still needs its K axis
+        GaussianMixture(np.array([1.0]), np.zeros(2), np.eye(2))
+    with pytest.raises(InvalidParams):
+        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2))
 
 
 def test_second_moment_bound():
@@ -62,6 +66,9 @@ def test_second_moment_bound():
     expected = 0.3 * (0.5 + 4.0) + 0.7 * (1.2 + 2.25)
     assert abs(gm.second_moment() - expected) < 1e-12
     assert check_second_moment(gm, T=16)
+    assert check_second_moment(gm, T=int(1e300))  # T**10 is past the float range
+    wide = gaussian_target(np.zeros(1), np.array([[1.5e12]]))
+    assert not check_second_moment(wide, T=16) and check_second_moment(wide, T=17)
 
 
 def test_forward_marginal_stationary():
