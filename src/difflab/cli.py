@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from . import analytic, harness, targets
-from .errors import DiffLabError
-from .harness import format_value
+from .errors import DiffLabError, InvalidParams
+from .harness import FLOAT_FORMAT, format_value
 from .samplers import KINDS, run_batch
 from .schedule import (
     DEFAULT_C0,
@@ -17,6 +17,8 @@ from .schedule import (
     build_schedule,
 )
 from .score_oracle import ScoreModel
+
+_WRITE_ROWS = 4096  # sample rows per formatted string, so memory stays flat
 
 
 def _schedule_params(args, d: int) -> ScheduleParams:
@@ -42,8 +44,10 @@ def cmd_sample(args) -> int:
     batch = run_batch(args.sampler, s, model, args.n, args.seed, jobs=args.jobs)
     with open(args.out, "w") as fh:
         fh.write(",".join(f"y1_{j}" for j in range(target.d)) + "\n")
-        for row in batch.y1:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        line = ",".join([FLOAT_FORMAT] * target.d) + "\n"
+        for lo in range(0, args.n, _WRITE_ROWS):
+            block = batch.y1[lo:lo + _WRITE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
         fh.write(f"# clip_activations={batch.clip_activations}\n")
     return 0
 
@@ -118,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidParams(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except DiffLabError as exc:
         print(f"difflab: {type(exc).__name__}: {exc}", file=sys.stderr)

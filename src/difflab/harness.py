@@ -36,6 +36,7 @@ from .targets import GaussianMixture
 CSV_HEADER = ("sampler,T,d,eps_score,kl_analytic,tv_bound,"
               "sliced_tv,moment_kl,clip_rate,seed,wallclock_ms")
 _FIELDS = tuple(CSV_HEADER.split(","))
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: every float round-trips
 
 _RELATIVE_MC_SAMPLES = 4096
 
@@ -242,12 +243,8 @@ def format_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format(value, ".17g")
+        return FLOAT_FORMAT % value
     return str(value)
-
-
-def _row_line(row: dict) -> str:
-    return ",".join(format_value(row[f]) for f in _FIELDS)
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
@@ -275,7 +272,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
         for row in ordered_map(_run_cell, cells, jobs):
-            fh.write(_row_line(row) + "\n")
+            fh.write(",".join(format_value(row[f]) for f in _FIELDS) + "\n")
             if row["error"] is not None:
                 fh.write(f"# cell_failed,{row['sampler']},{row['T']},{row['error']}\n")
             fh.flush()

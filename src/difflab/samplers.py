@@ -186,6 +186,8 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
     if n < 1:
         raise InvalidParams("trajectory count must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
     rows = max(1, _NOISE_BYTES // (8 * _row_words(s.T, s.d)[1]))
     calls = [(kind, s, model, seed, lo, min(lo + rows, n))
              for lo in range(0, n, rows)]

@@ -166,13 +166,16 @@ def log_density(mix: GaussianMixture, x) -> np.ndarray:
 
 def score(mix: GaussianMixture, x) -> np.ndarray:
     """Gradient (n, d) of the mixture log-density at the rows of a batch x
-    (n, d): -sum_k r_k P_k (x - m_k).
+    (n, d), as a new array: -sum_k r_k P_k (x - m_k).
 
     Posterior responsibilities r_k are a max-shifted softmax over the
     components' log-pdfs; components that underflow contribute exactly
-    zero weight.
+    zero weight.  A one-component mixture takes the closed form -P (x - m).
     """
-    _, scaled, pdiff = _component_terms(mix, _as_batch(x, mix.d))
+    x = _as_batch(x, mix.d)
+    if mix.K == 1:  # the general value bit for bit: its one responsibility is 1.0
+        return -np.matmul(x[None] - mix.means[:, None], mix._precisions)[0]
+    _, scaled, pdiff = _component_terms(mix, x)
     resp = scaled / scaled.sum(axis=0)
     return -np.einsum("kn,knd->nd", resp, pdiff)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +7,20 @@ import pytest
 from difflab import (
     KINDS,
     ScheduleParams,
+    ScoreModel,
+    TrajectoryBatch,
     build_schedule,
+    cli,
     forward_marginal,
     gaussian_kl,
+    load_target,
     propagate,
+    run_batch,
     standard_normal_target,
     target_law,
 )
 from difflab.cli import build_parser, main
+from difflab.harness import format_value
 
 
 def write_target(tmp_path, d=2):
@@ -120,3 +127,92 @@ def test_jobs_default_to_one():
     assert parser.parse_args(["sample", "--sampler", "ode", "--target", "t.json",
                               "--T", "8", "--n", "1", "--seed", "0",
                               "--out", "y.csv"]).jobs == 1
+
+
+def sample_args(target, out, *extra):
+    return ["sample", "--sampler", "accelerated", "--target", target, "--T", "16",
+            "--n", "40", "--c0", "2", "--c1", "2", "--out", str(out), *extra]
+
+
+def assert_one_error_line(capsys, error):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"difflab: {error}: ")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
+def test_sample_seed_out_of_range_is_a_difflab_error(tmp_path, capsys, seed):
+    out = tmp_path / "y.csv"
+    assert main(sample_args(write_target(tmp_path), out, "--seed", str(seed))) == 1
+    assert_one_error_line(capsys, "InvalidParams")
+    assert not out.exists()
+
+
+def test_sample_seed_range_edges_are_accepted(tmp_path):
+    target = write_target(tmp_path)
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"y{seed}.csv"
+        assert main(sample_args(target, out, "--seed", str(seed))) == 0
+        assert len(out.read_text().splitlines()) == 42
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected_before_any_csv(tmp_path, capsys, jobs):
+    out = tmp_path / "y.csv"
+    assert main(sample_args(write_target(tmp_path), out, "--seed", "1",
+                            "--jobs", jobs)) == 1
+    assert_one_error_line(capsys, "InvalidParams")
+    assert not out.exists()
+
+    cfg = {"target": write_target(tmp_path, d=1), "T_grid": [8, 16, 32],
+           "samplers": ["ddpm"], "score": {"mode": "exact"}, "n": 1500,
+           "out": str(tmp_path / "sweep.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--jobs", jobs]) == 1
+    assert_one_error_line(capsys, "InvalidParams")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def expected_lines(y1):
+    return [",".join(format_value(v) for v in row) for row in y1.tolist()]
+
+
+def test_sample_csv_rows_are_the_per_value_format(tmp_path):
+    # a batch longer than one write block, with a short last block
+    n = 2 * cli._WRITE_ROWS + 37
+    target = str(Path(__file__).parent.parent / "configs" / "mixture_2d_three.json")
+    out = tmp_path / "y.csv"
+    assert main(["sample", "--sampler", "accelerated", "--target", target, "--T", "12",
+                 "--n", str(n), "--seed", "3", "--c0", "2", "--c1", "2",
+                 "--out", str(out)]) == 0
+    s = build_schedule(ScheduleParams(T=12, c0=2.0, c1=2.0, d=2))
+    batch = run_batch("accelerated", s, ScoreModel.exact(load_target(target), s), n, 3)
+    lines = out.read_text().splitlines()
+    assert lines[1:-1] == expected_lines(batch.y1)
+    assert lines[-1] == f"# clip_activations={batch.clip_activations}"
+
+
+def test_sample_csv_bytes_of_hand_placed_values(tmp_path, monkeypatch):
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1.7976931348623157e308,
+               0.1 + 0.2, 2.2250738585072014e-308, 1.0, -123456.789]
+    n = cli._WRITE_ROWS + 5
+    y1 = np.random.default_rng(9).standard_normal((n, 2))
+    # the values sit in the first, last and block-boundary rows, in both columns
+    for rows in ([0, 1, 2, 3, 4], [n - 5, n - 4, n - 3, n - 2, n - 1],
+                 [cli._WRITE_ROWS - 3 + i for i in range(5)]):
+        y1[rows] = np.reshape(special, (5, 2))
+    monkeypatch.setattr(cli, "run_batch",
+                        lambda *args, **kw: TrajectoryBatch(y1.copy(), clip_activations=0))
+    out = tmp_path / "y.csv"
+    assert main(["sample", "--sampler", "ddpm", "--target", write_target(tmp_path),
+                 "--T", "8", "--n", str(n), "--seed", "0", "--c0", "2", "--c1", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1:-1] == expected_lines(y1)
+    assert lines[1:3] == ["-0,0", "4.9406564584124654e-324,-4.9406564584124654e-324"]
+    assert lines[3] == "1.0000000000000001e+300,-1.7976931348623157e+308"
+    assert lines[4] == "0.30000000000000004,2.2250738585072014e-308"
+    parsed = np.array([[float(f) for f in line.split(",")] for line in lines[1:-1]])
+    assert parsed.tobytes() == y1.tobytes()  # every value round-trips, signed zeros too

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from difflab import (
     GaussianMixture,
     ScheduleParams,
+    ScoreModel,
     build_schedule,
     forward_marginal,
     gaussian_target,
@@ -195,6 +197,66 @@ def test_score_matches_finite_differences():
         exact = score(law, x[None])[0]
         fd = finite_difference_score(law, x)
         assert np.max(np.abs(exact - fd)) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), K=st.integers(1, 4), t=st.integers(0, 16),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=3, K=1, t=0, seed=1)  # the one-component closed form on a correlated target
+def test_score_is_the_gradient_of_log_density(d, K, t, seed):
+    # log_density always takes the general mixture path, so for K = 1 this
+    # checks the closed-form score against independent code
+    rng = np.random.default_rng(seed)
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=d))
+    law = forward_marginal(random_mixture(rng, d, K), s, t)
+    x = law.means[rng.integers(0, K)] + rng.uniform(-2.0, 2.0, d)
+    exact = score(law, x[None])[0]
+    assert np.max(np.abs(exact - finite_difference_score(law, x))) <= 1e-6 * (
+        1.0 + np.max(np.abs(exact)))
+
+
+def test_single_component_score_is_the_general_expression_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for d in range(1, 5):
+        for gm in (random_mixture(rng, d, K=1), standard_normal_target(d)):
+            x = gm.means[0] + 4.0 * rng.standard_normal((500, d))
+            x[:2] = gm.means[0]  # zeros of x - m: the sign of zero must match too
+            x[2] = -0.0
+            x[3, 0] = -0.0
+            assert_single_component_score_is_general(gm, x)
+
+
+def assert_single_component_score_is_general(gm, x):
+    # the K-component softmax of responsibilities, with K = 1
+    diff = x[None] - gm.means[:, None]
+    pdiff = np.matmul(diff, gm._precisions)
+    log_pdfs = gm._log_coefs[:, None] - 0.5 * np.einsum("knd,knd->kn", diff, pdiff)
+    scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))
+    general = -np.einsum("kn,knd->nd", scaled / scaled.sum(axis=0), pdiff)
+    assert score(gm, x).tobytes() == general.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3])
+def test_score_returns_a_fresh_writable_array(K):
+    # ScoreModel.evaluate adds its offset or scale to the score in place
+    rng = np.random.default_rng(23)
+    gm = random_mixture(rng, 2, K)
+    x = rng.standard_normal((50, 2))
+    x_before = x.copy()
+    first = score(gm, x)
+    assert first.flags.writeable
+    assert not np.shares_memory(first, x)
+    expected = first.copy()
+    first += 1.0
+    np.testing.assert_array_equal(score(gm, x), expected)
+    np.testing.assert_array_equal(x, x_before)
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
+    model = ScoreModel.offset(gm, s, 0.25)
+    once = model.evaluate(5, x)
+    np.testing.assert_array_equal(model.evaluate(5, x), once)
+    exact = score(model.marginal(5), x)
+    np.testing.assert_array_equal(once[:, 1], exact[:, 1])
+    np.testing.assert_array_equal(once[:, 0], exact[:, 0] + 0.25)
 
 
 def test_score_batch_consistent_with_single():
