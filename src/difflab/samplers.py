@@ -3,10 +3,10 @@ stochastic baseline, and a deterministic exponential-Euler step.
 
 Every step takes a batch of points (n, d) and its Gaussian draws as
 arguments, so that single steps can be hand-checked on one-row batches;
-``run_batch`` owns stream management.  Batches use one counter-based
-Philox stream per seed, with trajectory i consuming a fixed, disjoint
-slice of the counter sequence, so results are identical bit for bit
-regardless of chunking or worker count.
+``run_batch`` owns stream management.  Each step t of a batch draws from
+its own counter-based Philox stream, keyed by (seed, t), and trajectory i
+reads a fixed, disjoint slice of that stream, so results are identical
+bit for bit regardless of chunking or worker count.
 
 Trajectories start at Y_T ~ N(0, I), apply the chosen step for t = T..2,
 and stop at t = 1 (no step is defined at t = 1, where the step-noise level
@@ -27,9 +27,11 @@ from .score_oracle import ScoreModel
 
 KINDS = ("accelerated", "accelerated_noclip", "ddpm", "ode")
 
-# Uniform-draw bytes per work unit, whatever T: rows per chunk follow from it,
-# and never change an output, since a row's draws depend only on (seed, row).
-_NOISE_BYTES = 16 * 2**20
+# Rows per work unit whatever T, and the noise block a chunk refills; neither
+# changes an output.  A block of a few MiB raises glibc's mmap threshold, so
+# the per-step score temporaries stay on the heap.
+_CHUNK_ROWS = 8192
+_NOISE_BYTES = 4 * 2**20
 
 # Philox.advance(k) skips k counter blocks of 4 uint64 outputs; one uniform
 # double consumes one output word, so per-row layouts are padded to a
@@ -124,38 +126,46 @@ def step(kind: str, s: Schedule, model: ScoreModel, t, y, z_mid, z):
     raise UnsupportedKind(f"unknown sampler kind {kind!r}")
 
 
-def _row_words(T: int, d: int) -> tuple[int, int]:
-    """(used, padded) uniform words per trajectory row."""
-    used = d * (1 + 2 * (T - 1))
-    padded = -(-used // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
-    return used, padded
+def _row_words(d: int) -> int:
+    """Uniform words per row of one step: 2d, padded to a multiple of 4."""
+    return -(-2 * d // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
 
 
-def _noise_rows(seed: int, lo: int, hi: int, T: int, d: int) -> np.ndarray:
-    """Standard-normal noise for trajectories lo..hi-1 of a batch, step-major.
-
-    Returns a (2T - 1, hi - lo, d) array: [0] is Y_T, and [2k + 1], [2k + 2]
-    are z_mid and z of step t = T - k.  Row i is the inverse-CDF transform of
-    uniform words at counter positions [i * padded, i * padded + used), in
-    that order; the slice depends only on (seed, i), never on chunking.
-    """
-    used, padded = _row_words(T, d)
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(lo * padded // _WORDS_PER_BLOCK)
-    u = np.random.Generator(bitgen).random((hi - lo, padded))
+def _draws(seed: int, steps, lo: int, out: np.ndarray, words: slice) -> np.ndarray:
+    """out[:len(steps)]: rows lo.. of each step t (t = 0 is Y_T), ``words`` of
+    each row made normal.  Step t draws from Philox(key=seed + (t << 64)) and
+    row i from its counter positions [i p, (i + 1) p), p = out.shape[2], so a
+    row's draws depend only on (seed, t, i), never on chunking."""
+    for k, t in enumerate(steps):
+        bitgen = np.random.Philox(key=seed + (t << 64))
+        bitgen.advance(lo * out.shape[2] // _WORDS_PER_BLOCK)
+        np.random.Generator(bitgen).random(out=out[k])
+    u = out[:len(steps), :, words]
     np.maximum(u, 2.0**-54, out=u)
-    draws = u[:, :used].reshape(hi - lo, 2 * T - 1, d).transpose(1, 0, 2)
-    return ndtri(draws, out=np.empty(draws.shape))
+    ndtri(u, out=u)
+    return out[:len(steps)]
 
 
 def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
                     lo: int, hi: int) -> tuple[np.ndarray, int]:
-    noise = _noise_rows(seed, lo, hi, s.T, s.d)
-    y = noise[0]
+    """Rows lo..hi-1 from Y_T (words [0, d) of step 0) down to t = 1.
+
+    Step t reads z_mid from words [0, d) and z from [d, 2d), drawn with its
+    neighbours into one reused block of about ``_NOISE_BYTES``.  Only words
+    a kind reads are made normal: ``ddpm`` reads z alone, and ``ode``, which
+    reads none, is handed the zeroed block.
+    """
+    d, p, ts = s.d, _row_words(s.d), range(s.T, 1, -1)
+    y = _draws(seed, [0], lo, np.empty((1, hi - lo, p)), slice(0, d))[0, :, :d]
+    run = min(len(ts), max(1, _NOISE_BYTES // (8 * (hi - lo) * p)))
+    block = np.zeros((run, hi - lo, p))
+    words = slice(d if kind == "ddpm" else 0, 2 * d)
     clip_count = 0
-    for k, t in enumerate(range(s.T, 1, -1)):
-        y, clipped = step(kind, s, model, t, y, noise[2 * k + 1], noise[2 * k + 2])
-        clip_count += int(np.count_nonzero(clipped))
+    for r in range(0, len(ts), run):
+        u = block if kind == "ode" else _draws(seed, ts[r:r + run], lo, block, words)
+        for k, t in enumerate(ts[r:r + run]):
+            y, clipped = step(kind, s, model, t, y, u[k, :, :d], u[k, :, d:2 * d])
+            clip_count += int(np.count_nonzero(clipped))
     return y, clip_count
 
 
@@ -179,8 +189,9 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     """Run n reverse trajectories and return their outputs at t = 1.
 
     Output is bit-identical for any ``jobs`` value: every trajectory's
-    draws come from its own counter slice, and results are assembled in
-    trajectory order.  A chunk holds the rows that ``_NOISE_BYTES`` allows.
+    draws come from its own counter slice of each step's stream, and
+    results are assembled in trajectory order.  The batch is cut into
+    chunks of ``_CHUNK_ROWS`` rows whatever T, the last one short.
     """
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
@@ -188,9 +199,8 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
         raise InvalidParams("trajectory count must be >= 1")
     if not 0 <= seed < 2**64:
         raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
-    rows = max(1, _NOISE_BYTES // (8 * _row_words(s.T, s.d)[1]))
-    calls = [(kind, s, model, seed, lo, min(lo + rows, n))
-             for lo in range(0, n, rows)]
+    calls = [(kind, s, model, seed, lo, min(lo + _CHUNK_ROWS, n))
+             for lo in range(0, n, _CHUNK_ROWS)]
     parts = list(ordered_map(_simulate_chunk, calls, jobs))
     return TrajectoryBatch(y1=np.vstack([p[0] for p in parts]),
                            clip_activations=sum(p[1] for p in parts))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from difflab import (
     ScheduleParams,
@@ -22,7 +23,7 @@ from difflab import (
 )
 from difflab.analytic import _AffineScore
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
-from difflab.samplers import TrajectoryBatch, _noise_rows, _row_words, ordered_map, step
+from difflab.samplers import KINDS, TrajectoryBatch, _draws, _row_words, ordered_map, step
 from difflab.schedule import Schedule, clip as schedule_clip
 
 
@@ -262,23 +263,85 @@ def test_time_batched_step_index_errors(kind):
 
 
 def test_noise_rows_are_chunk_invariant():
-    T, d, seed = 8, 2, 4242
-    whole = _noise_rows(seed, 0, 20, T, d)  # step-major: (2T - 1, rows, d)
-    part = _noise_rows(seed, 7, 20, T, d)
+    # a row's words depend only on (seed, step, row): rows 7.. drawn alone are
+    # the same rows of the whole batch, at every step
+    d, seed, steps = 2, 4242, [0, 5, 8]
+    whole = _draws(seed, steps, 0, np.empty((3, 20, _row_words(d))), slice(None))
+    part = _draws(seed, steps, 7, np.empty((5, 13, _row_words(d))), slice(None))
+    assert part.shape == (3, 13, 4)
     assert np.array_equal(whole[:, 7:], part)
-    used, padded = _row_words(T, d)
-    assert used == d * (1 + 2 * (T - 1)) and padded % 4 == 0
+    assert [_row_words(d) for d in (1, 2, 3, 4, 5)] == [4, 4, 8, 8, 12]
 
 
-def chunk_rows(T, d):
-    """Trajectories per ``run_batch`` chunk at horizon T and dimension d."""
-    return samplers._NOISE_BYTES // (8 * _row_words(T, d)[1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_layout_written_out(kind, monkeypatch):
+    # the layout by hand: step t draws from Philox(seed + (t << 64)), t = 0
+    # for Y_T; row i reads words [i p, i p + 2d), z_mid first, then z; Y_T
+    # is the first d words of its row.  Stepping rows at odd offsets across
+    # chunk boundaries gives run_batch's bits, clip decisions included
+    target = load_target(str(CONFIGS / "mixture_2d_three.json"))
+    s = build_schedule(ScheduleParams(T=6, c0=2.0, c1=2.0, c_clip=0.05, d=2))
+    model = ScoreModel.exact(target, s)
+    seed, d, p = 2**64 - 5, 2, 4
+    monkeypatch.setattr(samplers, "_CHUNK_ROWS", 8)
+    batch = run_batch(kind, s, model, 24, seed=seed)
+    rows = np.array([3, 7, 9, 13, 17, 23])
+
+    def normal_words(t):
+        u = np.random.Generator(np.random.Philox(key=seed + (t << 64))).random(24 * p)
+        return ndtri(np.maximum(u.reshape(24, p)[rows, :2 * d], 2.0**-54))
+
+    y = normal_words(0)[:, :d]
+    clips = 0
+    for t in range(s.T, 1, -1):
+        w = normal_words(t)
+        y, clipped = step(kind, s, model, t, y, w[:, :d], w[:, d:])
+        clips += int(np.count_nonzero(clipped))
+    assert np.array_equal(y, batch.y1[rows])
+    if kind == "accelerated":
+        assert 0 < clips <= batch.clip_activations
+
+
+def test_step_keys_never_collide():
+    # (seed, t) keys Philox(seed + (t << 64)): every pair gives its own
+    # stream, at the edges of the seed range too, where a key seed + t
+    # would give (seed, t + 1) the stream of (seed + 1, t)
+    seeds = [0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1]
+    steps = [0, 1, 2, 3, 1024]
+    first = {(seed, t): _draws(seed, [t], 0, np.empty((1, 1, 4)), slice(0)).tobytes()
+             for seed in seeds for t in steps}
+    assert len(set(first.values())) == len(first)
+
+
+def test_step_draws_are_uncorrelated(monkeypatch):
+    # the draws one row receives (Y_T, then z_mid and z at every step) are
+    # standard normal and pairwise uncorrelated over a large batch
+    s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=2))
+    model = ScoreModel.exact(standard_normal_target(2), s)
+    n = 20000
+    seen = []
+    real_step = samplers.step
+
+    def recording_step(kind, s, model, t, y, z_mid, z):
+        seen.extend([np.array(y)] * (t == s.T) + [np.array(z_mid), np.array(z)])
+        return real_step(kind, s, model, t, y, z_mid, z)
+
+    monkeypatch.setattr(samplers, "step", recording_step)
+    monkeypatch.setattr(samplers, "_CHUNK_ROWS", n)
+    run_batch("accelerated", s, model, n, seed=99)
+    draws = np.hstack(seen)
+    assert draws.shape == (n, 2 * (1 + 2 * (s.T - 1)))
+    tol = 5.0 / math.sqrt(n)
+    assert np.all(np.abs(draws.mean(axis=0)) < tol)
+    assert np.all(np.abs(draws.var(axis=0) - 1.0) < math.sqrt(2.0) * tol)
+    corr = np.corrcoef(draws, rowvar=False)
+    assert np.all(np.abs(corr[np.triu_indices_from(corr, k=1)]) < tol)
 
 
 def test_run_batch_deterministic_across_jobs():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     model = ScoreModel.exact(standard_normal_target(2), s)
-    n = 2 * chunk_rows(8, 2) + 4465  # spans three chunks, the last one short
+    n = 2 * samplers._CHUNK_ROWS + 4465  # spans three chunks, the last one short
     one = run_batch("accelerated", s, model, n, seed=11, jobs=1)
     again = run_batch("accelerated", s, model, n, seed=11, jobs=1)
     parallel = run_batch("accelerated", s, model, n, seed=11, jobs=4)
@@ -289,27 +352,30 @@ def test_run_batch_deterministic_across_jobs():
 
 
 def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
-    # a row's draws depend only on (seed, row), so the clip decisions and
-    # the outputs are the same for any chunking of the batch
+    # a row's draws depend only on (seed, step, row), so the clip decisions
+    # and the outputs are the same for any chunking of the batch, and for
+    # noise blocks that hold any number of steps
     target = load_target(str(CONFIGS / "mixture_2d_three.json"))
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
     model = ScoreModel.exact(target, s)
-    n = 3000
+    n = 7000  # one default chunk, holding all 15 steps' noise in one block
     default = run_batch("accelerated", s, model, n, seed=21)
-    _, padded = _row_words(16, 2)
-    # 997 rows per chunk: four chunks, the last one short
-    monkeypatch.setattr(samplers, "_NOISE_BYTES", 997 * 8 * padded)
-    chunked = run_batch("accelerated", s, model, n, seed=21)
     assert default.clip_activations > 0
-    assert chunked.clip_activations == default.clip_activations
-    assert np.array_equal(chunked.y1, default.y1)
+    # chunks of 997 rows, the last one short; then chunks of 3000 rows whose
+    # blocks hold 4 steps: runs of 4, 4, 4 and 3 steps
+    for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, 4 * 3000 * 8 * 4)):
+        monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(samplers, "_NOISE_BYTES", noise_bytes)
+        chunked = run_batch("accelerated", s, model, n, seed=21)
+        assert chunked.clip_activations == default.clip_activations
+        assert np.array_equal(chunked.y1, default.y1)
 
 
 @pytest.mark.parametrize("T, n", [(64, 32768), (1024, 1024)])
 def test_sampling_memory_does_not_grow_with_T(T, n):
-    # a chunk holds only the rows whose uniform draws fit the noise budget,
-    # so the peak is the uniform block, its normal transform and a few MiB
-    # of per-step arrays, at any horizon
+    # a chunk holds a fixed number of rows and draws its noise run by run
+    # into one block of _NOISE_BYTES, so the peak is that block and a few
+    # MiB of per-step arrays, at any horizon
     s = build_schedule(ScheduleParams(T=T, d=2))
     model = ScoreModel.exact(standard_normal_target(2), s)
     tracemalloc.start()
@@ -321,10 +387,28 @@ def test_sampling_memory_does_not_grow_with_T(T, n):
     assert peak <= 2 * samplers._NOISE_BYTES + 4 * 2**20
 
 
+def test_chunks_hold_chunk_rows_whatever_T(monkeypatch):
+    # every chunk but the last holds _CHUNK_ROWS rows, at T = 1024 as at T = 8
+    rows = samplers._CHUNK_ROWS
+    for T in (8, 1024):
+        s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.0, d=2))
+        model = ScoreModel.exact(standard_normal_target(2), s)
+        spans = []
+
+        def fake_chunk(kind, s, model, seed, lo, hi):
+            spans.append((lo, hi))
+            return np.zeros((hi - lo, s.d)), 0
+
+        monkeypatch.setattr(samplers, "_simulate_chunk", fake_chunk)
+        n = 3 * rows + 5
+        assert run_batch("accelerated", s, model, n, seed=1).y1.shape == (n, 2)
+        assert spans == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows), (3 * rows, n)]
+
+
 def test_pool_capped_at_the_work(pool_sizes):
     s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=1))
     model = ScoreModel.exact(standard_normal_target(1), s)
-    n = 2 * chunk_rows(4, 1) + 4465  # three chunks, the last one short
+    n = 2 * samplers._CHUNK_ROWS + 4465  # three chunks, the last one short
     pooled = run_batch("ddpm", s, model, n, seed=3, jobs=5000)
     assert pool_sizes == [3]
     assert np.array_equal(pooled.y1, run_batch("ddpm", s, model, n, seed=3).y1)
