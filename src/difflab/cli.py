@@ -9,13 +9,7 @@ from . import analytic, harness, targets
 from .errors import DiffLabError, InvalidParams
 from .harness import FLOAT_FORMAT, format_value
 from .samplers import KINDS, run_batch
-from .schedule import (
-    DEFAULT_C0,
-    DEFAULT_C1,
-    DEFAULT_C_CLIP,
-    ScheduleParams,
-    build_schedule,
-)
+from .schedule import ScheduleParams, build_schedule
 from .score_oracle import ScoreModel
 
 _WRITE_ROWS = 4096  # sample rows per formatted string, so memory stays flat
@@ -76,9 +70,9 @@ def cmd_sweep(args) -> int:
 
 
 def _add_schedule_constants(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", type=float, default=DEFAULT_C0)
-    p.add_argument("--c1", type=float, default=DEFAULT_C1)
-    p.add_argument("--cclip", type=float, default=DEFAULT_C_CLIP)
+    p.add_argument("--c0", type=float, default=ScheduleParams.c0)
+    p.add_argument("--c1", type=float, default=ScheduleParams.c1)
+    p.add_argument("--cclip", type=float, default=ScheduleParams.c_clip)
 
 
 def build_parser() -> argparse.ArgumentParser:

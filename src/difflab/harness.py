@@ -11,6 +11,7 @@ zero-error cells at the end.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -22,14 +23,7 @@ import numpy as np
 from . import analytic, metrics, targets
 from .errors import ConfigInvalid, DiffLabError, InvalidParams
 from .samplers import KINDS, ordered_map, run_batch
-from .schedule import (
-    DEFAULT_C0,
-    DEFAULT_C1,
-    DEFAULT_C_CLIP,
-    ScheduleParams,
-    build_schedule,
-    is_real,
-)
+from .schedule import ScheduleParams, as_integer, build_schedule, is_real
 from .score_oracle import MODES, ScoreModel
 from .targets import GaussianMixture
 
@@ -76,11 +70,13 @@ def fit_slope(points) -> SlopeFit:
     return SlopeFit(slope=slope, stderr=stderr, r2=r2)
 
 
-def _integer(value, name: str) -> int:
-    """An integral number as an int (16.0 passes; 16.5, "16" and true do not)."""
-    if is_real(value) and float(value).is_integer():
-        return int(value)
-    raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+# The field each sweep-config key sets; "schedule.c0" is the key "c0" of the
+# "schedule" object.  A score object holds "mode" and that mode's level key.
+_CONFIG_KEYS = {"target": "target_path", "T_grid": "T_grid", "samplers": "samplers",
+                "n": "n", "out": "out", "score": "score", "n_dirs": "n_dirs",
+                "seed": "seed", "mc": "mc", "schedule.c0": "c0", "schedule.c1": "c1",
+                "schedule.cclip": "c_clip"}
+_LEVEL_KEYS = {"offset": "delta", "relative": "rho"}
 
 
 @dataclass(frozen=True)
@@ -92,9 +88,9 @@ class ExperimentConfig:
     samplers: tuple[str, ...]
     n: int
     out: str
-    c0: float = DEFAULT_C0
-    c1: float = DEFAULT_C1
-    c_clip: float = DEFAULT_C_CLIP
+    c0: float = ScheduleParams.c0
+    c1: float = ScheduleParams.c1
+    c_clip: float = ScheduleParams.c_clip
     score: dict = field(default_factory=lambda: {"mode": "exact"})
     n_dirs: int = 32
     seed: int = 0
@@ -103,38 +99,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.target_path, str) and isinstance(self.out, str)):
             raise ConfigInvalid("target and out must be paths")
-        grid = tuple(_integer(t, "T_grid entry") for t in self.T_grid)
+        grid = tuple(as_integer(t, "T_grid entry", 4, ConfigInvalid) for t in self.T_grid)
         object.__setattr__(self, "T_grid", grid)
         object.__setattr__(self, "samplers", tuple(self.samplers))
-        for name in ("n", "n_dirs", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if len(grid) < 1 or any(t < 4 for t in grid):
-            raise ConfigInvalid("T_grid entries must be >= 4")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigInvalid("T_grid must be strictly increasing")
+        for name, low in (("n", 1), ("n_dirs", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, low,
+                                                      ConfigInvalid))
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigInvalid("T_grid must be nonempty and strictly increasing")
         try:
-            for T in grid:
-                ScheduleParams(T=T, c0=self.c0, c1=self.c1, c_clip=self.c_clip)
+            ScheduleParams(T=grid[0], c0=self.c0, c1=self.c1, c_clip=self.c_clip)
         except InvalidParams as exc:
             raise ConfigInvalid(f"bad schedule constants: {exc}") from exc
-        if self.n < 1:
-            raise ConfigInvalid("n must be >= 1")
         for kind in self.samplers:
             if kind not in KINDS:
                 raise ConfigInvalid(f"unknown sampler {kind!r}")
-        if not isinstance(self.score, dict) or self.score.get("mode", "exact") not in MODES:
-            raise ConfigInvalid(f"score must be an object with a mode in {MODES}, "
-                                f"got {self.score!r}")
-        try:
-            levels = [level for _, level in _score_cells(self.score)]
-        except KeyError as exc:
-            raise ConfigInvalid(f"bad score config {self.score!r}: {exc}") from exc
+        mode = self.score.get("mode", "exact") if isinstance(self.score, dict) else None
+        if mode not in MODES or set(self.score) - {"mode", _LEVEL_KEYS.get(mode)}:
+            raise ConfigInvalid(f"score must be an object with a mode in {MODES} and no "
+                                f"key but that mode's level key, got {self.score!r}")
+        levels = [level for _, level in _score_cells(self.score)]
         if not levels or not all(is_real(v) and math.isfinite(v) for v in levels):
             raise ConfigInvalid(f"need one or more finite real score levels, got {levels!r}")
-        if self.n_dirs < 1:
-            raise ConfigInvalid("n_dirs must be >= 1")
-        if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
         if not (self.mc is None or isinstance(self.mc, bool)):
             raise ConfigInvalid(f"mc must be true, false or absent, got {self.mc!r}")
 
@@ -143,22 +129,18 @@ class ExperimentConfig:
         sched = raw.get("schedule", {}) if isinstance(raw, dict) else None
         if not isinstance(sched, dict):
             raise ConfigInvalid("a sweep config and its schedule must be JSON objects")
+        flat = {key: value for key, value in raw.items() if key != "schedule"}
+        flat.update((f"schedule.{key}", value) for key, value in sched.items())
+        params = inspect.signature(cls).parameters
+        unknown = [key for key in flat if key not in _CONFIG_KEYS]
+        missing = [key for key, name in _CONFIG_KEYS.items()
+                   if key not in flat and params[name].default is params[name].empty]
+        if unknown or missing:
+            raise ConfigInvalid(f"sweep config: unknown keys {unknown or 'none'}, "
+                                f"missing keys {missing or 'none'}")
         try:
-            return cls(
-                target_path=raw["target"],
-                T_grid=tuple(raw["T_grid"]),
-                samplers=tuple(raw["samplers"]),
-                n=raw["n"],
-                out=raw["out"],
-                c0=sched.get("c0", DEFAULT_C0),
-                c1=sched.get("c1", DEFAULT_C1),
-                c_clip=sched.get("cclip", DEFAULT_C_CLIP),
-                score=raw.get("score", {"mode": "exact"}),
-                n_dirs=raw.get("n_dirs", 32),
-                seed=raw.get("seed", 0),
-                mc=raw.get("mc"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(**{_CONFIG_KEYS[key]: value for key, value in flat.items()})
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad sweep config: {exc}") from exc
 
     @classmethod
@@ -179,11 +161,12 @@ class SweepReport:
 
 
 def _score_cells(score_cfg: dict) -> list[tuple[str, float]]:
-    """The (mode, level) pair of each score cell (a level list means a grid)."""
+    """The (mode, level) pair of each score cell (a level list means a grid;
+    a missing level is None)."""
     mode = score_cfg.get("mode", "exact")
     if mode == "exact":
         return [("exact", 0.0)]
-    value = score_cfg["delta" if mode == "offset" else "rho"]
+    value = score_cfg.get(_LEVEL_KEYS[mode])
     levels = value if isinstance(value, (list, tuple)) else [value]
     return [(mode, v) for v in levels]
 

@@ -37,34 +37,40 @@ from .errors import (
 # sigma_t^2 = alpha_t - 1/(3 - 2 alpha_t) would be nonpositive.
 _ALPHA_FLOOR = 0.5 + 1e-9
 
-DEFAULT_C0 = 4.0
-DEFAULT_C1 = 4.0
-DEFAULT_C_CLIP = 2.0
-
 
 def is_real(value) -> bool:
     """Whether a value is a real number: a bool or a string is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def as_integer(value, name: str, low: int, error=InvalidParams) -> int:
+    """value as an int if it is a whole real number >= low within float range,
+    else raises ``error``: 16.0 gives 16; 16.5, "16", True and 10**400 raise."""
+    try:
+        if is_real(value) and float(value).is_integer() and value >= low:
+            return int(value)
+    except OverflowError:
+        pass
+    raise error(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Horizon, recursion constants, clip constant, and dimension.
 
-    T >= 2, d >= 1, and all three constants must be positive, finite and real.
+    T >= 2 and d >= 1 are whole numbers, stored as int; all three constants
+    must be positive, finite and real.
     """
 
     T: int
-    c0: float = DEFAULT_C0
-    c1: float = DEFAULT_C1
-    c_clip: float = DEFAULT_C_CLIP
+    c0: float = 4.0
+    c1: float = 4.0
+    c_clip: float = 2.0
     d: int = 1
 
     def __post_init__(self):
-        if int(self.T) != self.T or self.T < 2:
-            raise InvalidParams(f"horizon T must be an integer >= 2, got {self.T}")
-        if int(self.d) != self.d or self.d < 1:
-            raise InvalidParams(f"dimension d must be an integer >= 1, got {self.d}")
+        object.__setattr__(self, "T", as_integer(self.T, "horizon T", 2))
+        object.__setattr__(self, "d", as_integer(self.d, "dimension d", 1))
         for name in ("c0", "c1", "c_clip"):
             value = getattr(self, name)
             if not (is_real(value) and 0 < value < math.inf):
@@ -186,23 +192,8 @@ class LemmaCheck:
     per_step: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple[LemmaCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> LemmaCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def schedule_lemma_checks(s: Schedule) -> CheckReport:
-    """Evaluate the four schedule inequalities and report margins.
+def schedule_lemma_checks(s: Schedule) -> dict[str, LemmaCheck]:
+    """Evaluate the four schedule inequalities, each by name with its margin.
 
     For all t = 2..T, with c = c1 * log(T) / T:
 
@@ -232,17 +223,14 @@ def schedule_lemma_checks(s: Schedule) -> CheckReport:
     m_c = (1.0 - abar[1:]) / (1.0 - abar[:-1]) - (1.0 + 2.0 * rate)
     m_d = (1.0 - alpha[0]) - float(s.T) ** (-s.params.c1 / 4.0)
 
-    def check(name, per_step=None, single=None):
-        if per_step is not None:
-            margin = float(np.max(per_step))
-            return LemmaCheck(name, margin <= 0.0, margin, per_step)
-        return LemmaCheck(name, bool(single <= 0.0), float(single))
+    def check(name, margin, *per_step):
+        return name, LemmaCheck(name, bool(margin <= 0.0), float(margin), *per_step)
 
-    return CheckReport(checks=(
-        check("one_minus_alpha_le_rate", per_step=m_a),
-        check("relative_step_le_rate", per_step=m_b),
-        check("tail_ratio_le_one_plus_2rate", per_step=m_c),
-        check("first_step_rate_bound", single=m_d),
+    return dict((
+        check("one_minus_alpha_le_rate", np.max(m_a), m_a),
+        check("relative_step_le_rate", np.max(m_b), m_b),
+        check("tail_ratio_le_one_plus_2rate", np.max(m_c), m_c),
+        check("first_step_rate_bound", m_d),
     ))
 
 

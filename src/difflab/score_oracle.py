@@ -15,6 +15,7 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import targets
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from .schedule import Schedule
+from .schedule import Schedule, is_real
 from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
@@ -55,10 +56,10 @@ class ScoreModel:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InvalidParams(f"unknown score mode {self.mode!r}")
-        level = np.asarray(self.level, dtype=float)
-        if level.shape or not np.isfinite(level) or (self.mode == "exact" and level):
-            raise InvalidParams(f"{self.mode} score level must be one finite number "
-                                f"(0 in exact mode), got {self.level!r}")
+        level = self.level
+        if not (is_real(level) and math.isfinite(level)) or (self.mode == "exact" and level):
+            raise InvalidParams(f"{self.mode} score level must be one finite real number "
+                                f"(0 in exact mode), got {level!r}")
         object.__setattr__(self, "level", float(level))
         if self.target.d != self.schedule.d:
             raise DimensionMismatch(

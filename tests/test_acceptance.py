@@ -27,25 +27,21 @@ import time
 import numpy as np
 import pytest
 
-from difflab import (
-    ScheduleParams,
-    ScoreModel,
-    build_schedule,
-    clip,
-    fit_slope,
-    gaussian_kl,
+from difflab.analytic import gaussian_kl, propagate, scalar_propagate, target_law
+from difflab.cli import main as cli_main
+from difflab.harness import fit_slope
+from difflab.metrics import moment_kl
+from difflab.samplers import run_batch
+from difflab.schedule import ScheduleParams, build_schedule, clip, schedule_lemma_checks
+from difflab.score_oracle import ScoreModel
+from difflab.targets import (
+    GaussianMixture,
+    forward_marginal,
+    gaussian_target,
     log_density,
-    moment_kl,
-    propagate,
-    run_batch,
-    scalar_propagate,
-    schedule_lemma_checks,
     score,
     standard_normal_target,
-    target_law,
 )
-from difflab.cli import main as cli_main
-from difflab.targets import GaussianMixture, forward_marginal, gaussian_target
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -3,25 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from difflab import (
-    GaussianMixture,
-    ScheduleParams,
-    ScoreModel,
-    accelerated_step,
-    build_schedule,
+from difflab import samplers
+from difflab.analytic import (
+    AFFINE_KINDS,
+    _AffineScore,
+    _PROBE_STEPS,
+    _step_maps,
     gaussian_kl,
-    gaussian_target,
     gaussian_tv_bound,
     propagate,
-    run_batch,
     scalar_propagate,
-    standard_normal_target,
     target_law,
 )
-from difflab import samplers
-from difflab.analytic import _PROBE_STEPS, AFFINE_KINDS, _AffineScore, _step_maps
 from difflab.errors import InvalidParams, UnsupportedKind
-from difflab.targets import forward_marginal
+from difflab.samplers import accelerated_step, run_batch
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import (
+    GaussianMixture,
+    forward_marginal,
+    gaussian_target,
+    standard_normal_target,
+)
 
 
 def step_map(s, target, t, kind):

@@ -18,16 +18,10 @@ import numpy as np
 import pytest
 
 import difflab
-from difflab import (
-    ScheduleParams,
-    ScoreModel,
-    analytic,
-    build_schedule,
-    gaussian_target,
-    harness,
-    samplers,
-    standard_normal_target,
-)
+from difflab import analytic, harness, samplers
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import gaussian_target, standard_normal_target
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

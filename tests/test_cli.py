@@ -4,23 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from difflab import (
-    KINDS,
-    ScheduleParams,
-    ScoreModel,
-    TrajectoryBatch,
-    build_schedule,
-    cli,
-    forward_marginal,
-    gaussian_kl,
-    load_target,
-    propagate,
-    run_batch,
-    standard_normal_target,
-    target_law,
-)
+from difflab import cli
+from difflab.analytic import gaussian_kl, propagate, target_law
 from difflab.cli import build_parser, main
 from difflab.harness import format_value
+from difflab.samplers import KINDS, TrajectoryBatch, run_batch
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import forward_marginal, load_target, standard_normal_target
 
 
 def write_target(tmp_path, d=2):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflab import ExperimentConfig, ScheduleParams, fit_slope, metrics, run_sweep
+from difflab import metrics
 from difflab.cli import main
 from difflab.errors import ConfigInvalid, InvalidParams, TooFewSamples
-from difflab.harness import CSV_HEADER
+from difflab.harness import CSV_HEADER, ExperimentConfig, fit_slope, run_sweep
+from difflab.schedule import ScheduleParams
 
 
 def test_fit_slope_exact_power_laws():
@@ -94,6 +95,12 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, score={"mode": "mystery"})
 
 
+def test_missing_key_named_by_its_config_key(tmp_path):
+    raw = {"T_grid": [8, 16], "samplers": ["ode"], "n": 2000, "out": str(tmp_path / "s.csv")}
+    with pytest.raises(ConfigInvalid, match="'target'"):
+        ExperimentConfig.from_dict(raw)
+
+
 MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixture_2d_three.json")
 
 
@@ -128,12 +135,16 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"score": {"mode": "offset", "delta": "0.1"}}, True),
     ({"score": {"mode": "relative", "rho": ["0.2", False]}}, True),
     ({"T_grid": [16, 10**400]}, True),
+    ({"n_dir": 4}, True),
+    ({"schedule": {"c_0": 9.0}}, True),
+    ({"score": {"mode": "relative", "rho": 0.1, "delta": 0.1}}, True),
 ], ids=["n_dirs_zero", "negative_seed", "empty_delta", "empty_rho", "missing_delta",
         "mixture_n_below_floor", "forced_mc_n_below_floor", "score_not_object",
         "schedule_not_object", "config_not_object", "mc_string", "fractional_T",
         "fractional_n", "fractional_n_dirs", "fractional_seed", "nan_delta", "nan_rho",
         "out_not_path", "nan_c0", "negative_c1", "zero_cclip", "bool_c0", "string_cclip",
-        "bool_delta", "string_delta", "string_and_bool_rho", "T_past_floats"])
+        "bool_delta", "string_delta", "string_and_bool_rho", "T_past_floats",
+        "unknown_key", "unknown_schedule_key", "stray_level_key"])
 def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
     raw = override

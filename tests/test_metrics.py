@@ -3,18 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from difflab import (
-    GaussianMixture,
-    ScheduleParams,
-    build_schedule,
-    gaussian_kl,
-    moment_kl,
-    sliced_tv,
-    standard_normal_target,
-)
+from difflab.analytic import gaussian_kl
 from difflab.errors import DegenerateCovariance, InvalidParams, TooFewSamples
-from difflab.metrics import fit_gaussian, random_directions
-from difflab.targets import forward_marginal, sample
+from difflab.metrics import fit_gaussian, moment_kl, random_directions, sliced_tv
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.targets import GaussianMixture, forward_marginal, sample, standard_normal_target
 
 
 def stationary_law(d=2, T=16):

@@ -11,19 +11,12 @@ test_acceptance.py.
 import numpy as np
 import pytest
 
-from difflab import (
-    ScheduleParams,
-    ScoreModel,
-    build_schedule,
-    fit_slope,
-    forward_marginal,
-    gaussian_kl,
-    gaussian_target,
-    propagate,
-    run_batch,
-    standard_normal_target,
-    target_law,
-)
+from difflab.analytic import gaussian_kl, propagate, target_law
+from difflab.harness import fit_slope
+from difflab.samplers import run_batch
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import forward_marginal, gaussian_target, standard_normal_target
 
 
 def analytic_kls(kind, grid, c0=2.0, c1=2.5, d=2):

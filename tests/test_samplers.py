@@ -6,25 +6,30 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from difflab import (
-    ScheduleParams,
-    ScoreModel,
+from difflab import samplers
+from difflab.analytic import _AffineScore
+from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
+from difflab.samplers import (
+    KINDS,
+    TrajectoryBatch,
+    _draws,
+    _row_words,
     accelerated_step,
-    build_schedule,
     ddpm_step,
+    ode_step,
+    ordered_map,
+    run_batch,
+    step,
+)
+from difflab.schedule import Schedule, ScheduleParams, build_schedule, clip as schedule_clip
+from difflab.score_oracle import ScoreModel
+from difflab.targets import (
     gaussian_target,
     load_target,
     log_density,
-    ode_step,
-    run_batch,
-    samplers,
     score,
     standard_normal_target,
 )
-from difflab.analytic import _AffineScore
-from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
-from difflab.samplers import KINDS, TrajectoryBatch, _draws, _row_words, ordered_map, step
-from difflab.schedule import Schedule, clip as schedule_clip
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from difflab import ScheduleParams, build_schedule, clip, schedule_lemma_checks
 from difflab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParams,
     ScheduleDegenerate,
 )
-from difflab.schedule import LemmaCheck, Schedule
+from difflab.schedule import (
+    LemmaCheck,
+    Schedule,
+    ScheduleParams,
+    build_schedule,
+    clip,
+    schedule_lemma_checks,
+)
 
 
 def test_terminal_value_pinned():
@@ -61,6 +67,15 @@ def test_invalid_params_rejected():
         ScheduleParams(T=8, c0=1.0, c1=-2.0, c_clip=1.0, d=1)
     with pytest.raises(InvalidParams):
         ScheduleParams(T=8, c0=1.0, c1=1.0, c_clip=1.0, d=0)
+    # T and d follow the sweep-config integer rule: 16.0 is stored as 16
+    s = build_schedule(ScheduleParams(T=16.0, c0=2.0, c1=1.0, d=2.0))
+    assert (s.T, s.d) == (16, 2)
+    assert type(s.T) is int and type(s.d) is int
+    for bad in (16.5, True, "16"):
+        with pytest.raises(InvalidParams):
+            ScheduleParams(T=bad)
+        with pytest.raises(InvalidParams):
+            ScheduleParams(T=16, d=bad)
 
 
 def test_degenerate_schedule_rejected():
@@ -74,7 +89,7 @@ def test_lemma_checks_pass_at_large_ratio():
     for T in [16, 64, 256, 512]:
         s = build_schedule(ScheduleParams(T=T, c0=1.0, c1=2.0, c_clip=2.0, d=1))
         rep = schedule_lemma_checks(s)
-        assert rep.all_passed, [(c.name, c.margin) for c in rep.checks]
+        assert all(c.passed for c in rep.values()), [(c.name, c.margin) for c in rep.values()]
 
 
 def test_lemma_check_detects_violation():

@@ -4,16 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
-from difflab import (
-    ScheduleParams,
-    ScoreModel,
-    build_schedule,
-    samplers,
-    standard_normal_target,
-    targets,
-)
+from difflab import samplers, targets
 from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams
-from difflab.targets import GaussianMixture
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import GaussianMixture, standard_normal_target
 
 
 def setup_schedule(T=16, d=2):
@@ -110,9 +105,10 @@ def test_errors():
         model.evaluate(3, np.zeros((1, 3)))
     with pytest.raises(InvalidParams):
         ScoreModel("bogus", target, s)
-    # the level is one finite number, and 0 in exact mode
+    # the level is one finite real number, and 0 in exact mode
     for mode, level in [("offset", np.zeros(16)), ("offset", math.nan),
-                        ("relative", math.inf), ("relative", -math.inf), ("exact", 0.1)]:
+                        ("relative", math.inf), ("relative", -math.inf), ("exact", 0.1),
+                        ("offset", "0.1"), ("offset", True)]:
         with pytest.raises(InvalidParams):
             ScoreModel(mode, target, s, level)
 

@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,11 +11,21 @@ import numpy as np
 import pytest
 
 import difflab
-from difflab import load_target
 from difflab.harness import CSV_HEADER
-from difflab.targets import check_second_moment
+from difflab.targets import check_second_moment, load_target
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def child_env():
+    """The environment of a child run in another directory: a relative
+    PYTHONPATH entry (such as ``src``) would not resolve there, so the
+    child gets absolute paths instead."""
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
+    inherited = [os.path.abspath(p)
+                 for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir] + inherited))
 
 
 def shipped_targets():
@@ -37,7 +48,7 @@ def test_every_shipped_target_loads_and_bounds_second_moment():
 
 
 def test_shipped_sweep_configs_validate():
-    from difflab import ExperimentConfig
+    from difflab.harness import ExperimentConfig
 
     for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "sweep_*.json"))):
         cfg = ExperimentConfig.from_json(path)
@@ -67,16 +78,10 @@ def test_killed_sweep_leaves_only_complete_rows(tmp_path, jobs):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    # The child runs in tmp_path, so a relative PYTHONPATH entry (such as
-    # ``src``) would not resolve there: hand it absolute paths instead.
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
-    inherited = [os.path.abspath(p)
-                 for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir] + inherited))
     proc = subprocess.Popen(
         [sys.executable, "-m", "difflab.cli", "sweep", "--config", str(cfg_path),
          "--jobs", jobs],
-        cwd=str(tmp_path), env=env, start_new_session=True,
+        cwd=str(tmp_path), env=child_env(), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
     )
     deadline = time.time() + 60
@@ -107,3 +112,13 @@ def test_killed_sweep_leaves_only_complete_rows(tmp_path, jobs):
         parts = line.split(",")
         assert len(parts) == n_fields
         float(parts[3])  # eps_score parses
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's one Python block, as a user would paste it into a fresh
+    # interpreter
+    [code] = re.findall(r"```python\n(.*?)```", open(README).read(), re.S)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "exact KL:" in proc.stdout

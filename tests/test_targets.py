@@ -7,26 +7,26 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
-from difflab import (
-    GaussianMixture,
-    ScheduleParams,
-    ScoreModel,
-    build_schedule,
-    forward_marginal,
-    gaussian_target,
-    load_target,
-    log_density,
-    projected_cdf,
-    score,
-    standard_normal_target,
-)
 from difflab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParams,
     TargetLoadFailed,
 )
-from difflab.targets import check_second_moment, sample
+from difflab.schedule import ScheduleParams, build_schedule
+from difflab.score_oracle import ScoreModel
+from difflab.targets import (
+    GaussianMixture,
+    check_second_moment,
+    forward_marginal,
+    gaussian_target,
+    load_target,
+    log_density,
+    projected_cdf,
+    sample,
+    score,
+    standard_normal_target,
+)
 
 
 def two_component_1d():
