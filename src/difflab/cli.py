@@ -34,7 +34,7 @@ def cmd_schedule(args) -> int:
 def cmd_sample(args) -> int:
     target = targets.load_target(args.target)
     s = build_schedule(_schedule_params(args, target.d))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     batch = run_batch(args.sampler, s, model, args.n, args.seed, jobs=args.jobs)
     with open(args.out, "w") as fh:
         fh.write(",".join(f"y1_{j}" for j in range(target.d)) + "\n")

@@ -18,24 +18,8 @@ class ScheduleDegenerate(DiffLabError):
     """
 
 
-class DimensionMismatch(DiffLabError):
-    """A vector argument has the wrong dimension."""
-
-
-class IndexOutOfRange(DiffLabError):
-    """A step index lies outside its valid range."""
-
-
 class UnsupportedKind(DiffLabError):
     """The requested sampler variant is not supported by this operation."""
-
-
-class DegenerateCovariance(DiffLabError):
-    """A sample covariance matrix is not positive-definite."""
-
-
-class TooFewSamples(DiffLabError):
-    """Not enough samples for the requested estimator."""
 
 
 class ConfigInvalid(DiffLabError):

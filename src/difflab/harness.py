@@ -119,7 +119,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"score must be an object with a mode in {MODES} and no "
                                 f"key but that mode's level key, got {self.score!r}")
         levels = [level for _, level in _score_cells(self.score)]
-        if not levels or not all(is_real(v) and math.isfinite(v) for v in levels):
+        if not levels or not all(is_real(v) for v in levels):
             raise ConfigInvalid(f"need one or more finite real score levels, got {levels!r}")
         if not (self.mc is None or isinstance(self.mc, bool)):
             raise ConfigInvalid(f"mc must be true, false or absent, got {self.mc!r}")
@@ -140,7 +140,7 @@ class ExperimentConfig:
                                 f"missing keys {missing or 'none'}")
         try:
             return cls(**{_CONFIG_KEYS[key]: value for key, value in flat.items()})
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad sweep config: {exc}") from exc
 
     @classmethod

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import targets
 from .analytic import gaussian_kl
-from .errors import DegenerateCovariance, InvalidParams, TooFewSamples
+from .errors import InvalidParams
 from .targets import GaussianMixture
 
 _MIN_SAMPLES = 1000
@@ -40,7 +40,7 @@ def sliced_tv(y: np.ndarray, law: GaussianMixture, n_dirs: int = 32,
     """
     n = y.shape[0]
     if n < _MIN_SAMPLES:
-        raise TooFewSamples(f"sliced distance needs >= {_MIN_SAMPLES} samples, got {n}")
+        raise InvalidParams(f"sliced distance needs >= {_MIN_SAMPLES} samples, got {n}")
     if directions is None:
         if stream is None:
             raise InvalidParams("provide either a stream or explicit directions")
@@ -61,13 +61,10 @@ def fit_gaussian(y: np.ndarray) -> GaussianMixture:
     """Moment-matched Gaussian of a batch y (n, d): sample mean, sample covariance."""
     n, d = y.shape
     if n <= d + 1:
-        raise TooFewSamples(f"need more than d + 1 = {d + 1} samples, got {n}")
+        raise InvalidParams(f"need more than d + 1 = {d + 1} samples, got {n}")
     mean = y.mean(axis=0)
     cov = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
-    try:
-        return targets.gaussian_target(mean, 0.5 * (cov + cov.T))
-    except InvalidParams as exc:
-        raise DegenerateCovariance(f"sample covariance not positive-definite: {exc}") from exc
+    return targets.gaussian_target(mean, 0.5 * (cov + cov.T))
 
 
 def moment_kl(y: np.ndarray, law: GaussianMixture) -> float:

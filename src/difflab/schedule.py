@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParams,
-    ScheduleDegenerate,
-)
+from .errors import InvalidParams, ScheduleDegenerate
 
 # Per-step rates at or below this are rejected: the step-noise variance
 # sigma_t^2 = alpha_t - 1/(3 - 2 alpha_t) would be nonpositive.
@@ -39,18 +35,17 @@ _ALPHA_FLOOR = 0.5 + 1e-9
 
 
 def is_real(value) -> bool:
-    """Whether a value is a real number: a bool or a string is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether a value is a finite real number within float range: a bool,
+    a string, NaN, +-inf and 10**400 are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def as_integer(value, name: str, low: int, error=InvalidParams) -> int:
     """value as an int if it is a whole real number >= low within float range,
     else raises ``error``: 16.0 gives 16; 16.5, "16", True and 10**400 raise."""
-    try:
-        if is_real(value) and float(value).is_integer() and value >= low:
-            return int(value)
-    except OverflowError:
-        pass
+    if is_real(value) and float(value).is_integer() and value >= low:
+        return int(value)
     raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -73,7 +68,7 @@ class ScheduleParams:
         object.__setattr__(self, "d", as_integer(self.d, "dimension d", 1))
         for name in ("c0", "c1", "c_clip"):
             value = getattr(self, name)
-            if not (is_real(value) and 0 < value < math.inf):
+            if not (is_real(value) and value > 0):
                 raise InvalidParams(f"{name} must be a positive finite real, got {value!r}")
 
     @property
@@ -131,7 +126,7 @@ class Schedule:
     def _check_t(self, t, lo: int) -> None:
         low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
         if low < lo or high > self.T:
-            raise IndexOutOfRange(f"step index {t} outside [{lo}, {self.T}]")
+            raise InvalidParams(f"step index {t} outside [{lo}, {self.T}]")
 
 
 def build_schedule(params: ScheduleParams) -> Schedule:
@@ -239,7 +234,7 @@ def _as_batch(x, d: int) -> np.ndarray:
     point-wise function in the package."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
-        raise DimensionMismatch(f"expected a batch (n, {d}), got shape {x.shape}")
+        raise InvalidParams(f"expected a batch (n, {d}), got shape {x.shape}")
     return x
 
 

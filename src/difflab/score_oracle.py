@@ -15,14 +15,13 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import targets
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParams
+from .errors import InvalidParams
 from .schedule import Schedule, is_real
 from .targets import GaussianMixture
 
@@ -57,26 +56,14 @@ class ScoreModel:
         if self.mode not in MODES:
             raise InvalidParams(f"unknown score mode {self.mode!r}")
         level = self.level
-        if not (is_real(level) and math.isfinite(level)) or (self.mode == "exact" and level):
+        if not is_real(level) or (self.mode == "exact" and level):
             raise InvalidParams(f"{self.mode} score level must be one finite real number "
                                 f"(0 in exact mode), got {level!r}")
         object.__setattr__(self, "level", float(level))
         if self.target.d != self.schedule.d:
-            raise DimensionMismatch(
+            raise InvalidParams(
                 f"target dimension {self.target.d} != schedule dimension {self.schedule.d}"
             )
-
-    @classmethod
-    def exact(cls, target: GaussianMixture, schedule: Schedule) -> "ScoreModel":
-        return cls("exact", target, schedule)
-
-    @classmethod
-    def offset(cls, target: GaussianMixture, schedule: Schedule, delta: float) -> "ScoreModel":
-        return cls("offset", target, schedule, delta)
-
-    @classmethod
-    def relative(cls, target: GaussianMixture, schedule: Schedule, rho: float) -> "ScoreModel":
-        return cls("relative", target, schedule, rho)
 
     def marginal(self, t: int) -> GaussianMixture:
         try:
@@ -84,7 +71,7 @@ class ScoreModel:
         except TypeError:
             raise InvalidParams(f"score step must be one integer, got {t!r}") from None
         if not (1 <= t <= self.schedule.T):
-            raise IndexOutOfRange(f"score step {t} outside [1, {self.schedule.T}]")
+            raise InvalidParams(f"score step {t} outside [1, {self.schedule.T}]")
         law = self._marginals.get(t)
         if law is None:
             law = targets.forward_marginal(self.target, self.schedule, t)

@@ -21,13 +21,8 @@ import numpy as np
 from scipy.linalg import cholesky
 from scipy.special import ndtr
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParams,
-    TargetLoadFailed,
-)
-from .schedule import Schedule, _as_batch
+from .errors import InvalidParams, TargetLoadFailed
+from .schedule import Schedule, _as_batch, as_integer
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -129,7 +124,7 @@ def check_second_moment(target: GaussianMixture, T: int) -> bool:
 def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMixture:
     """Law of the noised data at step t (t = 0 returns the target itself)."""
     if not (0 <= t <= s.T):
-        raise IndexOutOfRange(f"marginal step {t} outside [0, {s.T}]")
+        raise InvalidParams(f"marginal step {t} outside [0, {s.T}]")
     if t == 0:
         return target
     abar = s.alpha_bar_at(t)
@@ -197,14 +192,14 @@ def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q: np.ndarray) ->
     """
     u = np.asarray(direction, dtype=float)
     if u.shape != (mix.d,):
-        raise DimensionMismatch(f"direction must have dimension {mix.d}, got shape {u.shape}")
+        raise InvalidParams(f"direction must have dimension {mix.d}, got shape {u.shape}")
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise InvalidParams(f"direction norm {np.linalg.norm(u)!r} != 1")
     proj_means = mix.means @ u
     proj_sds = np.sqrt(np.einsum("i,kij,j->k", u, mix.covariances, u))
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
-        raise DimensionMismatch(f"q must be one axis of points, got shape {q.shape}")
+        raise InvalidParams(f"q must be one axis of points, got shape {q.shape}")
     z = (q[:, None] - proj_means) / proj_sds
     return ndtr(z) @ mix.weights
 
@@ -221,7 +216,7 @@ def load_target(path: str) -> GaussianMixture:
     except (OSError, json.JSONDecodeError) as exc:
         raise TargetLoadFailed(f"cannot read target file {path!r}: {exc}") from exc
     try:
-        d = int(raw["d"])
+        d = as_integer(raw["d"], "d", 1)
         comps = raw["components"]
         weights = np.array([c["weight"] for c in comps], dtype=float)
         means = np.array([c["mean"] for c in comps], dtype=float).reshape(len(comps), d)

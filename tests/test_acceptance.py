@@ -126,7 +126,7 @@ def test_criterion_3_affine_oracle_agreement():
     n = 200_000
     target = standard_normal_target(2)
     s = build_schedule(ScheduleParams(T=64, c0=4.0, c1=4.0, d=2))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     law = propagate(s, target_law(target), "accelerated_noclip")
 
     noclip = run_batch("accelerated_noclip", s, model, n, seed=1000)
@@ -195,7 +195,7 @@ def test_criterion_5_score_error_monotonicity():
     law1 = forward_marginal(target, s, 1)
     values = []
     for i, delta in enumerate((0.0, 0.1, 0.3)):
-        model = ScoreModel.offset(target, s, delta=delta)
+        model = ScoreModel("offset", target, s, delta)
         batch = run_batch("accelerated", s, model, n, seed=2000 + i)
         values.append(moment_kl(batch.y1, law1))
     elapsed = time.perf_counter() - start

@@ -108,7 +108,7 @@ def test_accelerated_coefficients_by_regression():
     # fit of simulated outputs recovers the symbolic coefficients
     target = gaussian_target([1.5], np.array([[0.7]]))
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=1))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     t = 4
     rng = np.random.default_rng(42)
     n = 50_000
@@ -141,7 +141,7 @@ def test_affine_coefficients_reproduce_step(kind, d):
     t = 5
     A, B, D, b = step_map(s, target, t, kind)
     y, z_mid, z = rng.standard_normal((3, 20, d))
-    direct, _ = samplers.step(kind, s, ScoreModel.exact(target, s), t, y, z_mid, z)
+    direct, _ = samplers.step(kind, s, ScoreModel("exact", target, s), t, y, z_mid, z)
     affine = y @ A.T + z_mid @ B.T + z @ D.T + b
     assert np.allclose(direct, affine, rtol=1e-12, atol=1e-12)
 
@@ -239,7 +239,7 @@ def test_propagate_rotation_equivariant(kind, d):
 def test_propagate_matches_monte_carlo_moments():
     target = standard_normal_target(2)
     s = build_schedule(ScheduleParams(T=64, c0=4.0, c1=4.0, d=2))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     n = 65_536
     batch = run_batch("accelerated_noclip", s, model, n, seed=314)
     law = propagate(s, target_law(target), "accelerated_noclip")

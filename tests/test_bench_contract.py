@@ -82,7 +82,7 @@ def test_sweep_reaches_propagate_through_the_module(tmp_path, monkeypatch):
 def test_run_batch_reaches_step_through_the_module(monkeypatch):
     # the tracer patches samplers.ddpm_step on the module
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     steps = []
     original = samplers.ddpm_step
 

@@ -148,6 +148,34 @@ def test_sample_seed_range_edges_are_accepted(tmp_path):
         assert len(out.read_text().splitlines()) == 42
 
 
+def error_argv(error, tmp_path, out):
+    """A command that fails with the given error class before writing out."""
+    if error == "ConfigInvalid":  # "n_dir" is not a config key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": write_target(tmp_path), "T_grid": [8, 16, 32],
+                                   "samplers": ["ddpm"], "n": 1500, "n_dir": 4,
+                                   "out": str(out)}))
+        return ["sweep", "--config", str(cfg)]
+    if error == "TargetLoadFailed":
+        return sample_args(str(tmp_path / "missing.json"), out, "--seed", "1")
+    if error == "ScheduleDegenerate":  # T = 8 at the default c1 = 4
+        return ["sample", "--sampler", "ddpm", "--target", write_target(tmp_path),
+                "--T", "8", "--n", "40", "--seed", "1", "--out", str(out)]
+    # exact propagation needs a single-Gaussian target
+    return ["analytic", "--sampler", "ddpm", "--T", "16", "--c0", "2", "--c1", "2",
+            "--target", str(Path(__file__).parent.parent / "configs" / "mixture_2d_three.json"),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("error", ["ConfigInvalid", "TargetLoadFailed",
+                                   "ScheduleDegenerate", "UnsupportedKind"])
+def test_cli_error_classes(tmp_path, capsys, error):
+    out = tmp_path / "out.csv"
+    assert main(error_argv(error, tmp_path, out)) == 1
+    assert_one_error_line(capsys, error)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected_before_any_csv(tmp_path, capsys, jobs):
     out = tmp_path / "y.csv"
@@ -179,7 +207,7 @@ def test_sample_csv_rows_are_the_per_value_format(tmp_path):
                  "--n", str(n), "--seed", "3", "--c0", "2", "--c1", "2",
                  "--out", str(out)]) == 0
     s = build_schedule(ScheduleParams(T=12, c0=2.0, c1=2.0, d=2))
-    batch = run_batch("accelerated", s, ScoreModel.exact(load_target(target), s), n, 3)
+    batch = run_batch("accelerated", s, ScoreModel("exact", load_target(target), s), n, 3)
     lines = out.read_text().splitlines()
     assert lines[1:-1] == expected_lines(batch.y1)
     assert lines[-1] == f"# clip_activations={batch.clip_activations}"

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from difflab import metrics
 from difflab.cli import main
-from difflab.errors import ConfigInvalid, InvalidParams, TooFewSamples
+from difflab.errors import ConfigInvalid, DiffLabError, InvalidParams
 from difflab.harness import CSV_HEADER, ExperimentConfig, fit_slope, run_sweep
 from difflab.schedule import ScheduleParams
 
@@ -135,6 +135,9 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
     ({"score": {"mode": "offset", "delta": "0.1"}}, True),
     ({"score": {"mode": "relative", "rho": ["0.2", False]}}, True),
     ({"T_grid": [16, 10**400]}, True),
+    ({"schedule": {"c0": 10**400}}, True),
+    ({"schedule": {"c1": math.inf}}, True),
+    ({"score": {"mode": "offset", "delta": [0.0, 10**400]}}, True),
     ({"n_dir": 4}, True),
     ({"schedule": {"c_0": 9.0}}, True),
     ({"score": {"mode": "relative", "rho": 0.1, "delta": 0.1}}, True),
@@ -144,6 +147,7 @@ MIXTURE_TARGET = str(Path(__file__).resolve().parent.parent / "configs" / "mixtu
         "fractional_n", "fractional_n_dirs", "fractional_seed", "nan_delta", "nan_rho",
         "out_not_path", "nan_c0", "negative_c1", "zero_cclip", "bool_c0", "string_cclip",
         "bool_delta", "string_delta", "string_and_bool_rho", "T_past_floats",
+        "c0_past_floats", "infinite_c1", "delta_past_floats",
         "unknown_key", "unknown_schedule_key", "stray_level_key"])
 def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     out = tmp_path / "sweep.csv"
@@ -224,7 +228,7 @@ def test_any_difflab_error_fails_its_cell_alone(tmp_path, monkeypatch):
     def second_call_fails(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise TooFewSamples("injected failure")
+            raise DiffLabError("injected failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "sliced_tv", second_call_fails)

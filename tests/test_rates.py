@@ -82,7 +82,7 @@ def test_kl_argument_orders_both_available():
 def test_oracle_agreement_every_kind(kind, d, T):
     target = standard_normal_target(d)
     s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     n = 50_000
     batch = run_batch(kind, s, model, n, seed=909)
     law = propagate(s, target_law(target), kind)

@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 from difflab import samplers
 from difflab.analytic import _AffineScore
-from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams, UnsupportedKind
+from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.samplers import (
     KINDS,
     TrajectoryBatch,
@@ -84,7 +84,7 @@ def test_accelerated_step_hand_evaluation():
     # y = 1, z_mid = 0.5, z = -1
     a = 0.96
     s = handcrafted_schedule(alpha_t=a, clip_radius=1.0)
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
 
     y_mid = (1.0 + (0.04 / (2 * a)) * (-1.0)) / math.sqrt(a) + 0.04 * 0.5
     g_raw = a**1.5 * (-y_mid) - (-(1.0 + 0.04 * 0.5))
@@ -105,7 +105,7 @@ def test_accelerated_step_hand_evaluation():
 def test_accelerated_step_clip_engages():
     a = 0.96
     s = handcrafted_schedule(alpha_t=a, clip_radius=0.01)
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     sigma = math.sqrt(a - 1.0 / (3.0 - 2.0 * a))
     expected = (1.0 + 0.04 * (-1.0) + sigma * (-1.0)) / math.sqrt(a)
     y_prev, clipped = accelerated_step(
@@ -122,7 +122,7 @@ def test_accelerated_step_clip_engages():
 
 def test_step_clip_matches_schedule_clip_operator():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, c_clip=0.02, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     rng = np.random.default_rng(3)
     for t in [2, 5, 8]:
         y = rng.standard_normal((1, 2)) * 3
@@ -138,7 +138,7 @@ def test_step_clip_matches_schedule_clip_operator():
 
 def test_ddpm_step_hand_evaluation():
     s = handcrafted_schedule(alpha_t=0.96)
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     y_prev = ddpm_step(s, model, 2, np.array([[1.0]]), np.array([[0.0]]))
     assert np.allclose(y_prev, 0.96 / math.sqrt(0.96), rtol=1e-14)
     assert abs(float(y_prev[0, 0]) - 0.9798) < 1e-4
@@ -146,7 +146,7 @@ def test_ddpm_step_hand_evaluation():
 
 def test_ode_step_hand_evaluation():
     s = handcrafted_schedule(alpha_t=0.96)
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     y_prev = ode_step(s, model, 2, np.array([[1.0]]))
     assert np.allclose(y_prev, 0.98 / math.sqrt(0.96), rtol=1e-14)
     assert abs(float(y_prev[0, 0]) - 1.0002) < 1e-4
@@ -157,7 +157,7 @@ def test_shared_noise_contract():
     # score argument; per step the current-step score is evaluated exactly
     # twice and the previous-step score exactly once
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    counter = CountingScore(ScoreModel.exact(standard_normal_target(2), s))
+    counter = CountingScore(ScoreModel("exact", standard_normal_target(2), s))
     rng = np.random.default_rng(0)
     t = 5
     y = rng.standard_normal((1, 2))
@@ -178,16 +178,16 @@ def test_shared_noise_contract():
 
 def test_step_index_and_dimension_errors():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     z = np.zeros((1, 2))
     for t in (1, 0, 9):  # no step is defined at t = 1 (early stopping)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match="outside"):
             accelerated_step(s, model, t, z, z, z)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match="outside"):
             ddpm_step(s, model, t, z, z)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match="outside"):
             ode_step(s, model, t, z)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match="expected a batch"):
         ddpm_step(s, model, 2, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
@@ -195,7 +195,7 @@ def test_batch_rows_match_single_steps():
     # rows are independent: each row of a batch step is the step of that row
     # alone, as a one-row batch
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     rng = np.random.default_rng(8)
     y = rng.standard_normal((5, 2))
     z_mid = rng.standard_normal((5, 2))
@@ -211,7 +211,7 @@ def test_vectors_are_not_batches():
     # is refused rather than read as one point
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     target = standard_normal_target(2)
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     v = np.zeros(2)
     calls = [lambda: score(target, v), lambda: log_density(target, v),
              lambda: accelerated_step(s, model, 3, v, v, v),
@@ -219,7 +219,7 @@ def test_vectors_are_not_batches():
              lambda: ddpm_step(s, model, 3, v, v), lambda: ode_step(s, model, 3, v),
              lambda: schedule_clip(s, 3, v), lambda: model.evaluate(3, v)]
     for call in calls:
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams, match="expected a batch"):
             call()
     row = v[None]
     assert score(target, row).shape == (1, 2) and log_density(target, row).shape == (1,)
@@ -263,7 +263,7 @@ def test_time_batched_step_index_errors(kind):
     score = gaussian_score(s, 1)
     zeros = np.zeros((3, 2))
     for t in ([2, 1, 5], [9, 2, 2], [0, 0, 0]):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match="outside"):
             step(kind, s, score, np.array(t), zeros, zeros, zeros)
 
 
@@ -286,7 +286,7 @@ def test_noise_layout_written_out(kind, monkeypatch):
     # chunk boundaries gives run_batch's bits, clip decisions included
     target = load_target(str(CONFIGS / "mixture_2d_three.json"))
     s = build_schedule(ScheduleParams(T=6, c0=2.0, c1=2.0, c_clip=0.05, d=2))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     seed, d, p = 2**64 - 5, 2, 4
     monkeypatch.setattr(samplers, "_CHUNK_ROWS", 8)
     batch = run_batch(kind, s, model, 24, seed=seed)
@@ -322,7 +322,7 @@ def test_step_draws_are_uncorrelated(monkeypatch):
     # the draws one row receives (Y_T, then z_mid and z at every step) are
     # standard normal and pairwise uncorrelated over a large batch
     s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     n = 20000
     seen = []
     real_step = samplers.step
@@ -345,7 +345,7 @@ def test_step_draws_are_uncorrelated(monkeypatch):
 
 def test_run_batch_deterministic_across_jobs():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     n = 2 * samplers._CHUNK_ROWS + 4465  # spans three chunks, the last one short
     one = run_batch("accelerated", s, model, n, seed=11, jobs=1)
     again = run_batch("accelerated", s, model, n, seed=11, jobs=1)
@@ -362,7 +362,7 @@ def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # noise blocks that hold any number of steps
     target = load_target(str(CONFIGS / "mixture_2d_three.json"))
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
-    model = ScoreModel.exact(target, s)
+    model = ScoreModel("exact", target, s)
     n = 7000  # one default chunk, holding all 15 steps' noise in one block
     default = run_batch("accelerated", s, model, n, seed=21)
     assert default.clip_activations > 0
@@ -382,7 +382,7 @@ def test_sampling_memory_does_not_grow_with_T(T, n):
     # into one block of _NOISE_BYTES, so the peak is that block and a few
     # MiB of per-step arrays, at any horizon
     s = build_schedule(ScheduleParams(T=T, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     tracemalloc.start()
     try:
         run_batch("accelerated", s, model, n, seed=7)
@@ -397,7 +397,7 @@ def test_chunks_hold_chunk_rows_whatever_T(monkeypatch):
     rows = samplers._CHUNK_ROWS
     for T in (8, 1024):
         s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.0, d=2))
-        model = ScoreModel.exact(standard_normal_target(2), s)
+        model = ScoreModel("exact", standard_normal_target(2), s)
         spans = []
 
         def fake_chunk(kind, s, model, seed, lo, hi):
@@ -412,7 +412,7 @@ def test_chunks_hold_chunk_rows_whatever_T(monkeypatch):
 
 def test_pool_capped_at_the_work(pool_sizes):
     s = build_schedule(ScheduleParams(T=4, c0=2.0, c1=2.0, d=1))
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     n = 2 * samplers._CHUNK_ROWS + 4465  # three chunks, the last one short
     pooled = run_batch("ddpm", s, model, n, seed=3, jobs=5000)
     assert pool_sizes == [3]
@@ -426,7 +426,7 @@ def test_pool_capped_at_the_work(pool_sizes):
 
 def test_run_batch_ode_reproducible():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     a = run_batch("ode", s, model, 1, seed=77)
     b = run_batch("ode", s, model, 1, seed=77)
     assert np.array_equal(a.y1, b.y1)
@@ -434,7 +434,7 @@ def test_run_batch_ode_reproducible():
 
 def test_noclip_variant_coincides_when_clip_inactive():
     s = build_schedule(ScheduleParams(T=16, c0=4.0, c1=4.0, c_clip=2.0, d=2))
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     with_clip = run_batch("accelerated", s, model, 4096, seed=5)
     without = run_batch("accelerated_noclip", s, model, 4096, seed=5)
     assert with_clip.clip_activations == 0
@@ -443,14 +443,14 @@ def test_noclip_variant_coincides_when_clip_inactive():
 
 def test_run_batch_unknown_kind():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=1))
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     with pytest.raises(UnsupportedKind):
         run_batch("euler", s, model, 10, seed=0)
 
 
 def test_bad_batches_raise_difflab_errors():
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=1))
-    model = ScoreModel.exact(standard_normal_target(1), s)
+    model = ScoreModel("exact", standard_normal_target(1), s)
     with pytest.raises(InvalidParams):
         run_batch("ode", s, model, 0, seed=0)
     with pytest.raises(InvalidParams):

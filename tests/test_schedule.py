@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from difflab.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParams,
-    ScheduleDegenerate,
-)
+from difflab.errors import InvalidParams, ScheduleDegenerate
 from difflab.schedule import (
     LemmaCheck,
     Schedule,
@@ -76,6 +71,14 @@ def test_invalid_params_rejected():
             ScheduleParams(T=bad)
         with pytest.raises(InvalidParams):
             ScheduleParams(T=16, d=bad)
+    # the constants are finite reals within float range: NaN, +-inf and the
+    # integer 10**400 are refused, as they are for T
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(InvalidParams, match="integer"):
+            ScheduleParams(T=bad)
+        for name in ("c0", "c1", "c_clip"):
+            with pytest.raises(InvalidParams, match="positive finite real"):
+                ScheduleParams(T=16, **{name: bad})
 
 
 def test_degenerate_schedule_rejected():
@@ -159,21 +162,21 @@ def test_batch_clip_is_rowwise_and_passes_nan():
 
 def test_clip_errors():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         clip(s, 1, np.zeros((1, 2)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         clip(s, 17, np.zeros((1, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match="expected a batch"):
         clip(s, 2, np.zeros((1, 3)))
 
 
 def test_accessors_guard_range():
     s = build_schedule(ScheduleParams(T=4, c0=1.0, c1=0.5, c_clip=1.0, d=1))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         s.sigma_at(1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         s.alpha_at(0)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         s.alpha_bar_at(5)
 
 
@@ -183,7 +186,7 @@ def test_accessors_take_step_arrays():
     for at in (s.alpha_at, s.alpha_bar_at, s.sigma_at, s.clip_radius_at):
         assert np.array_equal(at(t), [at(int(k)) for k in t])
         assert isinstance(at(7), float)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(InvalidParams, match="outside"):
             at(np.array([3, 17]))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         s.sigma_at(np.array([1, 2]))

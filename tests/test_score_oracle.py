@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from difflab import samplers, targets
-from difflab.errors import DimensionMismatch, IndexOutOfRange, InvalidParams
+from difflab.errors import InvalidParams
 from difflab.schedule import ScheduleParams, build_schedule
 from difflab.score_oracle import ScoreModel
 from difflab.targets import GaussianMixture, standard_normal_target
@@ -17,7 +17,7 @@ def setup_schedule(T=16, d=2):
 
 def test_exact_mode_stationary_score():
     s = setup_schedule()
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     rng = np.random.default_rng(0)
     for t in [1, 5, 16]:
         x = rng.standard_normal((1, 2))
@@ -26,7 +26,7 @@ def test_exact_mode_stationary_score():
 
 def test_offset_mode_definitional():
     s = setup_schedule()
-    model = ScoreModel.offset(standard_normal_target(2), s, delta=0.3)
+    model = ScoreModel("offset", standard_normal_target(2), s, 0.3)
     x = np.array([[0.7, -1.1]])
     expected = -x + np.array([0.3, 0.0])
     assert np.allclose(model.evaluate(4, x), expected, atol=1e-12)
@@ -34,8 +34,8 @@ def test_offset_mode_definitional():
 
 def test_relative_mode_rho_zero_degenerate():
     s = setup_schedule()
-    exact = ScoreModel.exact(standard_normal_target(2), s)
-    rel = ScoreModel.relative(standard_normal_target(2), s, rho=0.0)
+    exact = ScoreModel("exact", standard_normal_target(2), s)
+    rel = ScoreModel("relative", standard_normal_target(2), s, 0.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
         t = int(rng.integers(1, 17))
@@ -45,7 +45,7 @@ def test_relative_mode_rho_zero_degenerate():
 
 def test_eps_score_exact_zero():
     s = setup_schedule()
-    model = ScoreModel.exact(standard_normal_target(2), s)
+    model = ScoreModel("exact", standard_normal_target(2), s)
     report = model.eps_score()
     assert report.eps_score == 0.0
     assert np.all(report.per_step == 0.0)
@@ -53,7 +53,7 @@ def test_eps_score_exact_zero():
 
 def test_eps_score_constant_offset():
     s = setup_schedule()
-    model = ScoreModel.offset(standard_normal_target(2), s, delta=0.2)
+    model = ScoreModel("offset", standard_normal_target(2), s, 0.2)
     assert model.eps_score().eps_score == pytest.approx(0.2, abs=1e-15)
 
 
@@ -61,7 +61,7 @@ def test_eps_score_relative_monte_carlo():
     # stationary standard normal: E||s_t(X_t)||^2 = d exactly, so
     # eps_t = |rho| * sqrt(d) at every step
     s = setup_schedule(T=8, d=3)
-    model = ScoreModel.relative(standard_normal_target(3), s, rho=0.1)
+    model = ScoreModel("relative", standard_normal_target(3), s, 0.1)
     report = model.eps_score(mc_samples=20_000, stream=np.random.default_rng(5))
     expected = 0.1 * math.sqrt(3.0)
     assert abs(report.eps_score - expected) < 4 * max(report.stderr, 1e-4)
@@ -73,8 +73,8 @@ def test_offset_error_is_exact_not_statistical():
     # E||s_t - s*_t||^2 equals delta_t^2 to machine precision
     s = setup_schedule(T=8, d=2)
     target = standard_normal_target(2)
-    model = ScoreModel.offset(target, s, delta=0.25)
-    exact = ScoreModel.exact(target, s)
+    model = ScoreModel("offset", target, s, 0.25)
+    exact = ScoreModel("exact", target, s)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1000, 2))
     diff = model.evaluate(3, x) - exact.evaluate(3, x)
@@ -88,7 +88,7 @@ def test_evaluate_is_pure():
         np.array([[1.0, 0.0], [-1.0, 0.0]]),
         np.stack([np.eye(2), 0.5 * np.eye(2)]),
     )
-    model = ScoreModel.exact(gm, s)
+    model = ScoreModel("exact", gm, s)
     x = np.array([[0.3, -0.4]])
     assert np.array_equal(model.evaluate(5, x), model.evaluate(5, x))
 
@@ -96,35 +96,38 @@ def test_evaluate_is_pure():
 def test_errors():
     s = setup_schedule()
     target = standard_normal_target(2)
-    model = ScoreModel.exact(target, s)
-    with pytest.raises(IndexOutOfRange):
+    model = ScoreModel("exact", target, s)
+    with pytest.raises(InvalidParams, match="outside"):
         model.evaluate(0, np.zeros((1, 2)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         model.evaluate(17, np.zeros((1, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match="expected a batch"):
         model.evaluate(3, np.zeros((1, 3)))
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="schedule dimension"):
+        ScoreModel("exact", standard_normal_target(3), s)
+    with pytest.raises(InvalidParams, match="unknown score mode"):
         ScoreModel("bogus", target, s)
-    # the level is one finite real number, and 0 in exact mode
+    # the level is one finite real number within float range, and 0 in exact mode
     for mode, level in [("offset", np.zeros(16)), ("offset", math.nan),
                         ("relative", math.inf), ("relative", -math.inf), ("exact", 0.1),
-                        ("offset", "0.1"), ("offset", True)]:
-        with pytest.raises(InvalidParams):
+                        ("offset", "0.1"), ("offset", True), ("offset", 10**400),
+                        ("relative", -10**400)]:
+        with pytest.raises(InvalidParams, match="level"):
             ScoreModel(mode, target, s, level)
 
 
 def test_from_config():
-    # a sweep cell's (mode, level) pair builds the same model as the
-    # one-line constructors
+    # a sweep cell's (mode, level) pair is the model's value: the level is
+    # stored as a float, defaults to 0, and relative mode scales the score
     s = setup_schedule()
     target = standard_normal_target(2)
-    assert ScoreModel("exact", target, s, 0.0) == ScoreModel.exact(target, s)
-    assert ScoreModel("offset", target, s, 0.1) == ScoreModel.offset(target, s, delta=0.1)
-    m = ScoreModel("relative", target, s, -0.2)
-    assert m == ScoreModel.relative(target, s, rho=-0.2)
-    assert (m.mode, m.level) == ("relative", -0.2)
+    assert ScoreModel("exact", target, s, 0.0) == ScoreModel("exact", target, s)
+    assert ScoreModel("offset", target, s, 0.1) != ScoreModel("relative", target, s, 0.1)
+    for mode, level in [("exact", 0), ("offset", 0.1), ("relative", -0.2)]:
+        m = ScoreModel(mode, target, s, level)
+        assert (m.mode, m.level) == (mode, level) and type(m.level) is float
     x = np.array([[0.7, -1.1], [0.2, 0.4]])
-    exact = ScoreModel.exact(target, s).evaluate(5, x)
+    exact = ScoreModel("exact", target, s).evaluate(5, x)
     assert np.array_equal(m.evaluate(5, x), (1.0 - 0.2) * exact)
 
 
@@ -138,7 +141,7 @@ def test_marginals_built_on_first_use(monkeypatch):
 
     monkeypatch.setattr(targets, "forward_marginal", counting)
     long = build_schedule(ScheduleParams(T=16384, c0=2.0, c1=2.5, d=2))
-    ScoreModel.exact(standard_normal_target(2), long)
+    ScoreModel("exact", standard_normal_target(2), long)
     assert calls == []
 
     s = setup_schedule()
@@ -147,7 +150,7 @@ def test_marginals_built_on_first_use(monkeypatch):
         np.array([[1.0, 0.5], [-1.0, 0.0]]),
         np.stack([np.eye(2), np.array([[0.5, 0.1], [0.1, 0.7]])]),
     )
-    model = ScoreModel.exact(gm, s)
+    model = ScoreModel("exact", gm, s)
     x = np.array([[0.3, -0.4], [1.2, 0.8]])
     first = model.evaluate(5, x)
     assert np.array_equal(model.evaluate(5, x), first)
@@ -165,7 +168,7 @@ def test_marginals_built_on_first_use(monkeypatch):
 
 def test_step_index_must_be_one_integer():
     s = setup_schedule()
-    model = ScoreModel.offset(standard_normal_target(2), s, delta=0.3)
+    model = ScoreModel("offset", standard_normal_target(2), s, 0.3)
     y = np.array([[0.3, -0.4], [1.2, 0.8]])
     # the sampler's own score takes one step per call; a per-row t is refused
     with pytest.raises(InvalidParams):

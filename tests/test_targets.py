@@ -7,12 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
-from difflab.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidParams,
-    TargetLoadFailed,
-)
+from difflab.errors import InvalidParams, TargetLoadFailed
 from difflab.schedule import ScheduleParams, build_schedule
 from difflab.score_oracle import ScoreModel
 from difflab.targets import (
@@ -251,7 +246,7 @@ def test_score_returns_a_fresh_writable_array(K):
     np.testing.assert_array_equal(score(gm, x), expected)
     np.testing.assert_array_equal(x, x_before)
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
-    model = ScoreModel.offset(gm, s, 0.25)
+    model = ScoreModel("offset", gm, s, 0.25)
     once = model.evaluate(5, x)
     np.testing.assert_array_equal(model.evaluate(5, x), once)
     exact = score(model.marginal(5), x)
@@ -358,9 +353,10 @@ def test_projected_cdf_basics():
     assert values[1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidParams):
         projected_cdf(target, 2 * u, np.array([0.0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidParams, match="direction must have dimension"):
         projected_cdf(target, np.array([1.0, 0.0]), np.array([0.0]))
-    with pytest.raises(DimensionMismatch):  # q is an array of points, not a scalar
+    # q is an array of points, not a scalar
+    with pytest.raises(InvalidParams, match="one axis of points"):
         projected_cdf(target, u, 0.0)
 
 
@@ -379,9 +375,9 @@ def test_projected_cdf_matches_monte_carlo():
 def test_marginal_index_range():
     target = standard_normal_target(1)
     s = build_schedule(ScheduleParams(T=8, c0=1.0, c1=0.5, d=1))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         forward_marginal(target, s, 9)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidParams, match="outside"):
         forward_marginal(target, s, -1)
 
 
@@ -405,6 +401,13 @@ def test_load_target_roundtrip(tmp_path):
         load_target(str(bad))
     with pytest.raises(TargetLoadFailed):
         load_target(str(tmp_path / "missing.json"))
+    # "d" follows the integer rule: a fraction, a bool or a string is refused,
+    # even where its truncation would fit the mean
+    for d, mean in ((2.5, [0.0, 0.0]), (True, [0.0]), ("2", [0.0, 0.0])):
+        bad.write_text(json.dumps({"d": d, "components": [
+            {"weight": 1.0, "mean": mean, "cov_scale": 1.0}]}))
+        with pytest.raises(TargetLoadFailed, match="d must be an integer"):
+            load_target(str(bad))
 
 
 def test_sample_accepts_marginal_law():
