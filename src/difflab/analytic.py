@@ -3,9 +3,10 @@
 When the target is a single Gaussian, every score function is affine, so
 each sampler step is an affine map Y_{t-1} = A Y_t + B Z_mid + D Z + b of
 (current point, fresh draws) and the law of every iterate is Gaussian.
-This module reads the maps off the sampler step itself and composes them,
-yielding the exact law of the final iterate with no Monte Carlo noise; it
-is the oracle behind the convergence-rate checks.
+This module reads the maps off the sampler step itself, run with the
+sampler's own exact ``ScoreModel``, and composes them, yielding the exact
+law of the final iterate with no Monte Carlo noise; it is the oracle behind
+the convergence-rate checks.
 
 The horizon is walked in blocks of ``_PROBE_STEPS`` steps: one
 ``samplers.step`` call, given one step index per row, reads off all of a
@@ -31,6 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import samplers
 from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule
+from .score_oracle import ScoreModel
 from .targets import GaussianMixture, gaussian_target
 
 AFFINE_KINDS = ("accelerated_noclip", "ddpm", "ode")
@@ -56,37 +58,17 @@ def target_law(target: GaussianMixture) -> GaussianMixture:
     return target
 
 
-class _AffineScore:
-    """Exact score of a single-Gaussian target N(m, C) at every step,
-    s_t(x) = c_t - P_t x with P_t = (abar_t C + (1 - abar_t) I)^-1 and
-    c_t = P_t sqrt(abar_t) m; all T precisions come from one batched inverse.
-    """
-
-    def __init__(self, target: GaussianMixture, s: Schedule):
-        self.d = target.d
-        abar = s.alpha_bar[:, None, None]
-        noised = abar * target.covariances[0]
-        noised[:, range(target.d), range(target.d)] += 1.0 - abar[:, :, 0]
-        self.precisions = np.linalg.inv(noised)
-        scaled_means = np.sqrt(s.alpha_bar)[:, None] * target.means[0]
-        self.offsets = (self.precisions @ scaled_means[:, :, None])[:, :, 0]
-
-    def evaluate(self, t, x: np.ndarray) -> np.ndarray:
-        """s_t at the rows of x, for one int t or an int array t per row."""
-        return self.offsets[t - 1] - (self.precisions[t - 1] @ x[..., None])[..., 0]
-
-
-def _step_maps(s: Schedule, score: _AffineScore, kind: str, steps: np.ndarray):
+def _step_maps(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
     """The affine maps of the steps in ``steps``, stacked as (A, B, D, b).
 
     One ``samplers.step`` call runs each step on its own 3d + 1 probe rows of
     (y, z_mid, z): the zero row gives b, and each unit row minus it gives one
     column of [A B D].  The no-clip steps are affine, so this is exact.
     """
-    d, m = score.d, len(steps)
+    d, m = s.d, len(steps)
     rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)]), (m, 1))
     t = np.repeat(steps, 3 * d + 1)
-    out, _ = samplers.step(kind, s, score, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
+    out, _ = samplers.step(kind, s, model, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
     out = out.reshape(m, 3 * d + 1, d)
     cols = np.swapaxes(out[:, 1:] - out[:, :1], 1, 2)
     return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], out[:, 0]
@@ -114,11 +96,11 @@ def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixtur
     """
     if kind not in AFFINE_KINDS:
         raise UnsupportedKind(f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})")
-    score = _AffineScore(target_law(target), s)
+    model = ScoreModel("exact", target_law(target), s)
     mean = np.zeros(target.d)
     cov = np.eye(target.d)
     for hi in range(s.T, 1, -_PROBE_STEPS):
-        A, B, D, b = _step_maps(s, score, kind, np.arange(hi, max(hi - _PROBE_STEPS, 1), -1))
+        A, B, D, b = _step_maps(s, model, kind, np.arange(hi, max(hi - _PROBE_STEPS, 1), -1))
         A, b, Q = _compose(A, b, B @ np.swapaxes(B, 1, 2) + D @ np.swapaxes(D, 1, 2))
         mean = A @ mean + b
         cov = A @ cov @ A.T + Q

@@ -23,11 +23,9 @@ def cmd_schedule(args) -> int:
     s = build_schedule(_schedule_params(args, args.d))
     with open(args.out, "w") as fh:
         fh.write("t,alpha,alpha_bar,sigma,clip_radius\n")
-        for t in range(1, s.T + 1):
-            sigma = format_value(s.sigma_at(t)) if t >= 2 else ""
-            radius = format_value(s.clip_radius_at(t)) if t >= 2 else ""
-            fh.write(f"{t},{format_value(s.alpha_at(t))},{format_value(s.alpha_bar_at(t))},"
-                     f"{sigma},{radius}\n")
+        for t in range(1, s.T + 1):  # sigma and clip_radius start at t = 2
+            tail = (s.sigma[t], s.clip_radius[t]) if t >= 2 else (None, None)
+            fh.write(",".join(map(format_value, (t, s.alpha[t], s.alpha_bar[t], *tail))) + "\n")
     return 0
 
 

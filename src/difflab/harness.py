@@ -199,7 +199,7 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
     if _wants_mc(cfg, target, mode):
         batch = run_batch(kind, schedule, model, cfg.n, seed)
         dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        out["sliced_tv"], _ = metrics.sliced_tv(batch.y1, law_1, cfg.n_dirs, dir_stream)
+        out["sliced_tv"] = metrics.sliced_tv(batch.y1, law_1, cfg.n_dirs, dir_stream)
         out["moment_kl"] = metrics.moment_kl(batch.y1, law_1)
         out["clip_rate"] = batch.clip_activations / (cfg.n * (T - 1))
     return out

@@ -31,12 +31,11 @@ def random_directions(d: int, n_dirs: int, stream: np.random.Generator) -> np.nd
 
 def sliced_tv(y: np.ndarray, law: GaussianMixture, n_dirs: int = 32,
               stream: np.random.Generator | None = None,
-              directions: np.ndarray | None = None):
+              directions: np.ndarray | None = None) -> float:
     """Mean 1-D Kolmogorov distance over random projections of a batch y (n, d).
 
     For each direction u, computes the sup over sorted sample points of the
     gap between the empirical CDF of u'Y and the analytic projected CDF.
-    Returns (mean, per_direction list of (direction, distance)).
     """
     n = y.shape[0]
     if n < _MIN_SAMPLES:
@@ -47,14 +46,11 @@ def sliced_tv(y: np.ndarray, law: GaussianMixture, n_dirs: int = 32,
         directions = random_directions(y.shape[1], n_dirs, stream)
     grid_lo = np.arange(n) / n
     grid_hi = np.arange(1, n + 1) / n
-    per_direction = []
+    distances = []
     for u in directions:
-        proj = np.sort(y @ u)
-        cdf = targets.projected_cdf(law, u, proj)
-        dist = float(np.max(np.maximum(cdf - grid_lo, grid_hi - cdf)))
-        per_direction.append((u, dist))
-    mean = float(np.mean([d for _, d in per_direction]))
-    return mean, per_direction
+        cdf = targets.projected_cdf(law, u, np.sort(y @ u))
+        distances.append(float(np.max(np.maximum(cdf - grid_lo, grid_hi - cdf))))
+    return float(np.mean(distances))
 
 
 def fit_gaussian(y: np.ndarray) -> GaussianMixture:

@@ -66,11 +66,11 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
     Returns (y_prev, clipped) where ``clipped`` flags rows whose
     correction was zeroed by the norm threshold.
     """
-    s._check_t(t, lo=2)
     y = _as_batch(y, s.d)
     z_mid = _as_batch(z_mid, s.d)
     z = _as_batch(z, s.d)
-    a = _per_row(s.alpha_at(t))
+    s._check_t(t, lo=2, rows=len(y))
+    a = _per_row(s.alpha[t])
     om = 1.0 - a
     sqrt_a = np.sqrt(a)
 
@@ -85,17 +85,17 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
         clipped = np.einsum("ij,ij->i", moved, moved) > 0.0
         g = kept
 
-    y_prev = (y + om * (s_t_y + a * g) + _per_row(s.sigma_at(t)) * z) / sqrt_a
+    y_prev = (y + om * (s_t_y + a * g) + _per_row(s.sigma[t]) * z) / sqrt_a
     return y_prev, clipped
 
 
 def ddpm_step(s: Schedule, model: ScoreModel, t, y, z):
     """One plain stochastic step: single score evaluation, noise level
     sqrt(1 - alpha_t) injected inside the 1/sqrt(alpha_t) rescaling."""
-    s._check_t(t, lo=2)
     y = _as_batch(y, s.d)
     z = _as_batch(z, s.d)
-    a = _per_row(s.alpha_at(t))
+    s._check_t(t, lo=2, rows=len(y))
+    a = _per_row(s.alpha[t])
     om = 1.0 - a
     return (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
 
@@ -103,9 +103,9 @@ def ddpm_step(s: Schedule, model: ScoreModel, t, y, z):
 def ode_step(s: Schedule, model: ScoreModel, t, y):
     """One deterministic step (exponential-Euler discretization of the
     deterministic reverse dynamics): half the score coefficient, no noise."""
-    s._check_t(t, lo=2)
     y = _as_batch(y, s.d)
-    a = _per_row(s.alpha_at(t))
+    s._check_t(t, lo=2, rows=len(y))
+    a = _per_row(s.alpha[t])
     return (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
 
 

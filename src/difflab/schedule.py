@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -81,21 +82,22 @@ class ScheduleParams:
 class Schedule:
     """Immutable per-step coefficient arrays for a fixed horizon.
 
-    Arrays are stored 0-based; use the ``*_at`` accessors with 1-based step
-    indices (int or int array).  ``sigma`` and ``clip_radius`` exist only
-    for t = 2..T.
+    Each array has T + 1 entries and is indexed by the step itself, as
+    ``s.alpha[t]`` for an int t or an int array t.  ``alpha_bar[0] = 1`` is
+    the data; entries a step does not define are NaN: ``alpha`` at t = 0,
+    ``sigma`` and ``clip_radius`` at t = 0 and 1.  ``_check_t`` is the one
+    rule for a step index.
     """
 
     params: ScheduleParams
-    alpha_bar: np.ndarray  # shape (T,), t = 1..T
-    alpha: np.ndarray      # shape (T,), t = 1..T
-    sigma: np.ndarray      # shape (T-1,), t = 2..T
-    clip_radius: np.ndarray  # shape (T-1,), t = 2..T
+    alpha_bar: np.ndarray    # (T + 1,)
+    alpha: np.ndarray        # (T + 1,), NaN at t = 0
+    sigma: np.ndarray        # (T + 1,), NaN at t = 0, 1
+    clip_radius: np.ndarray  # (T + 1,), NaN at t = 0, 1
 
     def __post_init__(self):
         for name in ("alpha_bar", "alpha", "sigma", "clip_radius"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
     @property
     def T(self) -> int:
@@ -105,28 +107,18 @@ class Schedule:
     def d(self) -> int:
         return self.params.d
 
-    def alpha_at(self, t):
-        return self._at(self.alpha, t, lo=1)
-
-    def alpha_bar_at(self, t):
-        return self._at(self.alpha_bar, t, lo=1)
-
-    def sigma_at(self, t):
-        return self._at(self.sigma, t, lo=2)
-
-    def clip_radius_at(self, t):
-        return self._at(self.clip_radius, t, lo=2)
-
-    def _at(self, values: np.ndarray, t, lo: int):
-        """values at step t: a float for an int t, an array for an int array t."""
-        self._check_t(t, lo)
-        picked = values[t - lo]
-        return picked if isinstance(t, np.ndarray) else float(picked)
-
-    def _check_t(self, t, lo: int) -> None:
+    def _check_t(self, t, lo: int, rows: int | None = None):
+        """t as a step in [lo, T]: one integer, or for a batch of ``rows`` rows
+        also an int array of one step per row."""
+        if not (isinstance(t, np.ndarray) and t.shape == (rows,) and t.dtype.kind in "iu"):
+            try:
+                t = operator.index(t)
+            except TypeError:
+                raise InvalidParams(f"step must be one integer or one per row, got {t!r}") from None
         low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
         if low < lo or high > self.T:
             raise InvalidParams(f"step index {t} outside [{lo}, {self.T}]")
+        return t
 
 
 def build_schedule(params: ScheduleParams) -> Schedule:
@@ -139,35 +131,36 @@ def build_schedule(params: ScheduleParams) -> Schedule:
     """
     T = params.T
     try:
-        abar = np.empty(T)
+        abar = np.ones(T + 1)  # abar[0] = 1 is the data
     except (ValueError, MemoryError) as exc:
         raise InvalidParams(f"no memory for a schedule of T = {T} steps: {exc}") from exc
     rate = params.step_rate
-    abar[T - 1] = float(T) ** (-params.c0)
-    for t in range(T, 1, -1):
-        a = abar[t - 1]
-        abar[t - 2] = a + rate * a * (1.0 - a)
+    a = float(T) ** (-params.c0)
+    for t in range(T, 1, -1):  # in Python floats: numpy's arithmetic, at a third of the time
+        abar[t] = a
+        a += rate * a * (1.0 - a)
+    abar[1] = a
 
-    if abar[0] >= 1.0:
+    if abar[1] >= 1.0:
         raise ScheduleDegenerate(
             "cumulative rate saturated at 1.0; reduce c1 or increase T"
         )
-    alpha = np.empty(T)
-    alpha[0] = abar[0]
+    alpha = np.full(T + 1, np.nan)
     alpha[1:] = abar[1:] / abar[:-1]
-    bad = alpha[1:] <= _ALPHA_FLOOR
+    bad = alpha[2:] <= _ALPHA_FLOOR
     if np.any(bad):
         t_bad = int(np.argmax(bad)) + 2
         raise ScheduleDegenerate(
-            f"alpha_{t_bad} = {alpha[t_bad - 1]:.6f} <= 1/2: "
+            f"alpha_{t_bad} = {alpha[t_bad]:.6f} <= 1/2: "
             f"c1*log(T)/T = {rate:.4f} is too large for T = {T}"
         )
 
-    a = alpha[1:]
-    sigma2 = a - 1.0 / (3.0 - 2.0 * a)
-    sigma = np.sqrt(sigma2)
-    log_t = math.log(T)
-    clip_radius = params.c_clip * (1.0 - a) * (params.d * log_t / (1.0 - abar[1:])) ** 1.5
+    a = alpha[2:]
+    sigma = np.full(T + 1, np.nan)
+    sigma[2:] = np.sqrt(a - 1.0 / (3.0 - 2.0 * a))
+    clip_radius = np.full(T + 1, np.nan)
+    clip_radius[2:] = (params.c_clip * (1.0 - a)
+                       * (params.d * math.log(T) / (1.0 - abar[2:])) ** 1.5)
     return Schedule(params=params, alpha_bar=abar, alpha=alpha,
                     sigma=sigma, clip_radius=clip_radius)
 
@@ -210,13 +203,12 @@ def schedule_lemma_checks(s: Schedule) -> dict[str, LemmaCheck]:
     """
     rate = s.params.step_rate
     abar = s.alpha_bar
-    alpha = s.alpha
-    one_minus_alpha = 1.0 - alpha[1:]
+    one_minus_alpha = 1.0 - s.alpha[2:]
 
     m_a = one_minus_alpha - rate
-    m_b = one_minus_alpha / (1.0 - abar[1:]) - rate
-    m_c = (1.0 - abar[1:]) / (1.0 - abar[:-1]) - (1.0 + 2.0 * rate)
-    m_d = (1.0 - alpha[0]) - float(s.T) ** (-s.params.c1 / 4.0)
+    m_b = one_minus_alpha / (1.0 - abar[2:]) - rate
+    m_c = (1.0 - abar[2:]) / (1.0 - abar[1:-1]) - (1.0 + 2.0 * rate)
+    m_d = (1.0 - s.alpha[1]) - float(s.T) ** (-s.params.c1 / 4.0)
 
     def check(name, margin, *per_step):
         return name, LemmaCheck(name, bool(margin <= 0.0), float(margin), *per_step)
@@ -247,5 +239,6 @@ def clip(s: Schedule, t, x: np.ndarray) -> np.ndarray:
     t is one step for the batch, or an int array giving each row its own.
     """
     x = _as_batch(x, s.d)
-    over = np.linalg.norm(x, axis=1) > s.clip_radius_at(t)
+    s._check_t(t, lo=2, rows=len(x))
+    over = np.linalg.norm(x, axis=1) > s.clip_radius[t]
     return np.where(over[:, None], 0.0, x)

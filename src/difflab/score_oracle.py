@@ -2,8 +2,10 @@
 
 A score model is one (mode, level) pair over a target and a schedule:
 
-  exact     s_t(x) = grad log p_t(x), evaluated in closed form from the
-            noised-marginal mixture at step t; the level must be 0.
+  exact     s_t(x) = grad log p_t(x) in closed form: the score of the
+            noised-marginal mixture at step t, or on a single Gaussian
+            -(x - m_t) P_t, the one definition that the samplers and
+            analytic.propagate both run; the level must be 0.
   offset    s_t(x) = exact + delta * e_1, with delta the level and e_1 the
             first coordinate axis.  The per-step root-mean-square error is
             |delta| exactly, since the perturbation does not depend on x.
@@ -15,14 +17,14 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import targets
 from .errors import InvalidParams
-from .schedule import Schedule, is_real
+from .schedule import Schedule, _as_batch, is_real
 from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
@@ -41,8 +43,9 @@ class EpsReport:
 class ScoreModel:
     """Immutable score evaluator over a fixed target and schedule.
 
-    The noised marginal of step t is built on its first use and cached;
-    the cache is not part of the model's value.
+    The noised marginal of step t is built on its first use and cached, and
+    so are a single Gaussian's per-step stacks; no cache is part of the
+    model's value.
     """
 
     mode: str
@@ -66,22 +69,41 @@ class ScoreModel:
             )
 
     def marginal(self, t: int) -> GaussianMixture:
-        try:
-            t = operator.index(t)
-        except TypeError:
-            raise InvalidParams(f"score step must be one integer, got {t!r}") from None
-        if not (1 <= t <= self.schedule.T):
-            raise InvalidParams(f"score step {t} outside [1, {self.schedule.T}]")
-        law = self._marginals.get(t)
-        if law is None:
-            law = targets.forward_marginal(self.target, self.schedule, t)
-            self._marginals[t] = law
-        return law
+        t = self.schedule._check_t(t, lo=1)
+        if t not in self._marginals:
+            self._marginals[t] = targets.forward_marginal(self.target, self.schedule, t)
+        return self._marginals[t]
 
-    def evaluate(self, t: int, x: np.ndarray) -> np.ndarray:
-        """s_t at the rows of a batch x (n, d), as a batch (n, d)."""
-        law = self.marginal(t)
-        base = targets.score(law, x)
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """m_t = sqrt(abar_t) m and P_t = (abar_t C + (1 - abar_t) I)^-1 of a
+        single-Gaussian target for t = 0..T; each P_t is built as
+        ``GaussianMixture`` builds a precision, with the step-t marginal's bits."""
+        abar = self.schedule.alpha_bar
+        cov = abar[:, None, None] * self.target.covariances[0]
+        cov += (1.0 - abar)[:, None, None] * np.eye(self.target.d)
+        chol_invs = np.linalg.inv(np.linalg.cholesky(cov))
+        precisions = np.matmul(np.swapaxes(chol_invs, 1, 2), chol_invs)
+        precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
+        return np.sqrt(abar)[:, None] * self.target.means[0], precisions
+
+    def _exact(self, t, x: np.ndarray) -> np.ndarray:
+        """grad log p_t at the rows of a batch x (n, d), as a new array; on a
+        single-Gaussian target -(x - m_t) P_t, where t may also be an int
+        array with one step per row."""
+        if self.target.K != 1:
+            return targets.score(self.marginal(t), x)
+        x = _as_batch(x, self.target.d)
+        t = self.schedule._check_t(t, lo=1, rows=len(x))
+        means, precisions = self._stacks
+        if isinstance(t, np.ndarray):
+            return -np.matmul((x - means[t])[:, None], precisions[t])[:, 0]
+        return -np.matmul(x - means[t], precisions[t])
+
+    def evaluate(self, t, x: np.ndarray) -> np.ndarray:
+        """s_t at the rows of a batch x (n, d), as a batch (n, d).  t is one
+        step, or on a single-Gaussian target an int array of one step per row."""
+        base = self._exact(t, x)
         if self.mode == "offset":
             base[:, 0] += self.level
         elif self.mode == "relative":
@@ -92,15 +114,15 @@ class ScoreModel:
                   stream: np.random.Generator | None = None) -> EpsReport:
         """Root-mean-square per-step error aggregated over the horizon.
 
-        Exact and offset modes are computed in closed form and ignore both
+        Exact and offset modes report |level| exactly and ignore both
         arguments; relative mode estimates E||s_t(X_t)||^2 with
-        ``mc_samples`` draws per step and reports the delta-method standard
-        error of the aggregate.
+        ``mc_samples`` draws per step, reports the delta-method standard
+        error of the aggregate, and raises InvalidParams if the aggregate
+        is not finite.
         """
         T = self.schedule.T
         if self.mode != "relative":
-            per_step = np.full(T, abs(self.level))
-            return EpsReport(float(np.sqrt(np.mean(per_step**2))), per_step)
+            return EpsReport(abs(self.level), np.full(T, abs(self.level)))
         if mc_samples < 1:
             raise InvalidParams("relative mode needs mc_samples >= 1")
         if stream is None:
@@ -109,13 +131,17 @@ class ScoreModel:
         var_sq = np.empty(T)
         for t in range(1, T + 1):
             draws = targets.sample(self.marginal(t), mc_samples, stream)
-            sq = np.sum(targets.score(self.marginal(t), draws) ** 2, axis=1)
+            sq = np.sum(self._exact(t, draws) ** 2, axis=1)
             mean_sq[t - 1] = sq.mean()
             var_sq[t - 1] = sq.var(ddof=1) / mc_samples if mc_samples > 1 else 0.0
-        per_step = abs(self.level) * np.sqrt(mean_sq)
-        mean_eps_sq = float(self.level**2 * np.mean(mean_sq))
-        eps = float(np.sqrt(mean_eps_sq))
-        # stderr of sqrt(mean of rho^2 * mean_sq): delta method
-        var_mean = float(self.level**4 * np.sum(var_sq)) / T**2
+        level = np.float64(self.level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_step = abs(level) * np.sqrt(mean_sq)
+            eps = float(np.sqrt(level**2 * np.mean(mean_sq)))
+            # stderr of sqrt(mean of rho^2 * mean_sq): delta method
+            var_mean = float(level**4 * np.sum(var_sq)) / T**2
+        if not np.isfinite(eps):
+            raise InvalidParams(f"relative score error is not finite at rho = {self.level!r}")
         stderr = 0.5 * np.sqrt(var_mean) / eps if eps > 0 else 0.0
         return EpsReport(eps, per_step, stderr)
+

@@ -123,16 +123,14 @@ def check_second_moment(target: GaussianMixture, T: int) -> bool:
 
 def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMixture:
     """Law of the noised data at step t (t = 0 returns the target itself)."""
-    if not (0 <= t <= s.T):
-        raise InvalidParams(f"marginal step {t} outside [0, {s.T}]")
+    s._check_t(t, lo=0)
     if t == 0:
         return target
-    abar = s.alpha_bar_at(t)
-    eye = np.eye(target.d)
+    abar = s.alpha_bar[t]
     return GaussianMixture(
         weights=target.weights.copy(),
         means=np.sqrt(abar) * target.means,
-        covariances=abar * target.covariances + (1.0 - abar) * eye,
+        covariances=abar * target.covariances + (1.0 - abar) * np.eye(target.d),
     )
 
 
@@ -165,12 +163,10 @@ def score(mix: GaussianMixture, x) -> np.ndarray:
 
     Posterior responsibilities r_k are a max-shifted softmax over the
     components' log-pdfs; components that underflow contribute exactly
-    zero weight.  A one-component mixture takes the closed form -P (x - m).
+    zero weight.  Where every Mahalanobis term overflows (|x - m| past about
+    1e154) every responsibility is 0/0 and the score is NaN, also for K = 1.
     """
-    x = _as_batch(x, mix.d)
-    if mix.K == 1:  # the general value bit for bit: its one responsibility is 1.0
-        return -np.matmul(x[None] - mix.means[:, None], mix._precisions)[0]
-    _, scaled, pdiff = _component_terms(mix, x)
+    _, scaled, pdiff = _component_terms(mix, _as_batch(x, mix.d))
     resp = scaled / scaled.sum(axis=0)
     return -np.einsum("kn,knd->nd", resp, pdiff)
 

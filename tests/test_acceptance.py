@@ -209,7 +209,7 @@ def test_criterion_5_score_error_monotonicity():
 def test_criterion_6_clip_semantics():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=3))
     t = 7
-    r = s.clip_radius_at(t)
+    r = s.clip_radius[t]
     zero = np.zeros((1, 3))
     checks = [
         np.array_equal(clip(s, t, zero), zero),

@@ -6,7 +6,6 @@ import pytest
 from difflab import samplers
 from difflab.analytic import (
     AFFINE_KINDS,
-    _AffineScore,
     _PROBE_STEPS,
     _step_maps,
     gaussian_kl,
@@ -29,7 +28,8 @@ from difflab.targets import (
 
 def step_map(s, target, t, kind):
     """(A, B, D, b) of step t, read off by the block probe for that one step."""
-    A, B, D, b = _step_maps(s, _AffineScore(target_law(target), s), kind, np.array([t]))
+    model = ScoreModel("exact", target_law(target), s)
+    A, B, D, b = _step_maps(s, model, kind, np.array([t]))
     return A[0], B[0], D[0], b[0]
 
 
@@ -52,7 +52,7 @@ def test_forward_marginal_gaussian_closed_form():
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.3], [0.3, 0.5]])
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
-    abar = s.alpha_bar_at(7)
+    abar = s.alpha_bar[7]
     law = forward_marginal(gaussian_target(mean, cov), s, 7)
     assert np.allclose(law.mean, np.sqrt(abar) * mean, rtol=1e-15)
     assert np.allclose(law.cov, abar * cov + (1 - abar) * np.eye(2), rtol=1e-15)
@@ -78,7 +78,7 @@ def test_single_gaussian_required():
 def test_ode_coefficients_stationary():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
     t = 9
-    a = s.alpha_at(t)
+    a = s.alpha[t]
     A, B, D, b = step_map(s, standard_normal_target(2), t, "ode")
     assert np.allclose(A, (1 - (1 - a) / 2) / math.sqrt(a) * np.eye(2), rtol=1e-14)
     assert np.allclose(b, 0.0)
@@ -88,7 +88,7 @@ def test_ode_coefficients_stationary():
 def test_ddpm_coefficients_stationary():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
     t = 9
-    a = s.alpha_at(t)
+    a = s.alpha[t]
     A, B, D, b = step_map(s, standard_normal_target(2), t, "ddpm")
     # mean coefficient (1 - (1 - a)) / sqrt(a) = sqrt(a)
     assert np.allclose(A, math.sqrt(a) * np.eye(2), rtol=1e-14)
@@ -190,7 +190,7 @@ def test_propagate_matches_sequential_fold(kind, d):
     target = random_target(np.random.default_rng(40 + d), d)
     for T in (2, 3, _PROBE_STEPS, _PROBE_STEPS + 1, 2 * _PROBE_STEPS + 3):
         s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=1.0, d=d))
-        maps = _step_maps(s, _AffineScore(target, s), kind, np.arange(T, 1, -1))
+        maps = _step_maps(s, ScoreModel("exact", target, s), kind, np.arange(T, 1, -1))
         mean, cov = np.zeros(d), np.eye(d)
         for A, B, D, b in zip(*maps):
             mean = A @ mean + b

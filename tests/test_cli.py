@@ -33,7 +33,7 @@ def test_schedule_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1" and first[3] == "" and first[4] == ""
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, c_clip=1.5, d=2))
-    assert float(lines[2].split(",")[3]) == s.sigma_at(2)
+    assert float(lines[2].split(",")[3]) == s.sigma[2]
 
 
 def test_sample_csv_and_jobs_determinism(tmp_path):

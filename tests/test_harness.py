@@ -363,3 +363,41 @@ def test_all_rows_complete(tmp_path):
     data, _ = read_rows(cfg.out)
     for line in data:
         assert len(line.split(",")) == len(CSV_HEADER.split(","))
+
+
+def run_two_level_sweep(tmp_path, target, score):
+    """`difflab sweep` over two score levels of one ddpm cell at T = 16, n = 1000:
+    its exit status and the data and comment lines of its CSV."""
+    out = tmp_path / "levels.csv"
+    cfg_path = tmp_path / "levels.json"
+    cfg_path.write_text(json.dumps({"target": target, "T_grid": [16], "samplers": ["ddpm"],
+                                    "n": 1000, "score": score, "out": str(out)}))
+    status = main(["sweep", "--config", str(cfg_path), "--jobs", "1"])
+    return status, *read_rows(out)
+
+
+def test_overflowing_relative_error_fails_its_cell_alone(tmp_path, capsys):
+    # rho = 1e308 is a finite level, but rho**2 E||s||^2 overflows: the cell
+    # fails with a message, and the rho = 0.1 row before it is complete
+    status, data, comments = run_two_level_sweep(
+        tmp_path, write_target(tmp_path, d=2), {"mode": "relative", "rho": [0.1, 1e308]})
+    assert status == 0 and capsys.readouterr().err == ""
+    assert len(data) == 2
+    assert "" not in [data[0].split(",")[i] for i in (3, 6, 7, 8)]
+    assert data[1].split(",")[3:9] == [""] * 6
+    [failed] = comments
+    assert failed.startswith("# cell_failed,ddpm,16,relative score error is not finite")
+
+
+def test_far_tail_mixture_score_fails_its_cell_alone(tmp_path):
+    # an offset of 1e200 drives the trajectories past |x| ~ 1e154, where every
+    # Mahalanobis term of the mixture overflows and the score is NaN: the
+    # refusal is the cell's failure, never a NaN in the CSV
+    with np.errstate(invalid="ignore"):
+        status, data, comments = run_two_level_sweep(
+            tmp_path, MIXTURE_TARGET, {"mode": "offset", "delta": [0.1, 1e200]})
+    assert status == 0
+    assert len(data) == 2
+    assert "" not in [data[0].split(",")[i] for i in (3, 6, 7, 8)]
+    assert data[1].split(",")[3:9] == [""] * 6
+    assert comments == ["# cell_failed,ddpm,16,trajectory outputs contain non-finite values"]

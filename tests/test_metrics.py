@@ -20,12 +20,14 @@ def test_sliced_tv_vanishes_for_matching_batch():
     target, s, law = stationary_law()
     n = 100_000
     batch = sample(law, n, np.random.default_rng(21))
-    mean_tv, per_dir = sliced_tv(batch, law, n_dirs=8,
-                                 stream=np.random.default_rng(1))
+    mean_tv = sliced_tv(batch, law, n_dirs=8, stream=np.random.default_rng(1))
+    dirs = random_directions(2, 8, np.random.default_rng(1))
+    per_dir = [sliced_tv(batch, law, directions=dirs[i:i + 1]) for i in range(8)]
     # one-sample Kolmogorov statistic concentration band
     band = 3 * math.sqrt(math.log(2 / 0.01) / (2 * n))
-    assert all(d_i <= band for _, d_i in per_dir)
+    assert all(d_i <= band for d_i in per_dir)
     assert mean_tv <= band
+    assert mean_tv == pytest.approx(np.mean(per_dir), rel=1e-12)
 
 
 def test_sliced_tv_disjoint_supports():
@@ -33,9 +35,9 @@ def test_sliced_tv_disjoint_supports():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=1))
     law = forward_marginal(mix, s, 1)
     batch = sample(law, 5000, np.random.default_rng(3)) + 10.0
-    mean_tv, per_dir = sliced_tv(batch, law, n_dirs=4,
-                                 stream=np.random.default_rng(2))
-    assert all(d_i > 0.999 for _, d_i in per_dir)
+    mean_tv = sliced_tv(batch, law, n_dirs=4, stream=np.random.default_rng(2))
+    dirs = random_directions(1, 4, np.random.default_rng(2))
+    assert all(sliced_tv(batch, law, directions=dirs[i:i + 1]) > 0.999 for i in range(4))
     assert mean_tv > 0.999
 
 
@@ -44,9 +46,10 @@ def test_sliced_tv_deterministic_given_stream():
     batch = sample(law, 2000, np.random.default_rng(5))
     a = sliced_tv(batch, law, n_dirs=6, stream=np.random.default_rng(9))
     b = sliced_tv(batch, law, n_dirs=6, stream=np.random.default_rng(9))
-    assert a[0] == b[0]
-    assert all(np.array_equal(u1, u2) and d1 == d2
-               for (u1, d1), (u2, d2) in zip(a[1], b[1]))
+    assert a == b
+    # the stream only draws the directions
+    dirs = random_directions(2, 6, np.random.default_rng(9))
+    assert sliced_tv(batch, law, directions=dirs) == a
 
 
 def test_sliced_tv_too_few_samples():
@@ -69,8 +72,8 @@ def test_sliced_tv_rotation_invariant():
     theta = 0.83
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
-    base, _ = sliced_tv(batch, law, directions=dirs)
-    rotated, _ = sliced_tv(batch @ rot.T, law, directions=dirs @ rot.T)
+    base = sliced_tv(batch, law, directions=dirs)
+    rotated = sliced_tv(batch @ rot.T, law, directions=dirs @ rot.T)
     assert abs(base - rotated) < 1e-12
 
 

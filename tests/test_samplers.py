@@ -7,7 +7,6 @@ import pytest
 from scipy.special import ndtri
 
 from difflab import samplers
-from difflab.analytic import _AffineScore
 from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.samplers import (
     KINDS,
@@ -37,15 +36,16 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def handcrafted_schedule(alpha_t=0.96, clip_radius=1.0, d=1):
     """Two-step schedule with a chosen rate at t=2 (marginals of a
-    stationary target do not depend on the cumulative rates)."""
+    stationary target do not depend on the cumulative rates), in the
+    t-indexed layout: entry t for t = 0, 1, 2."""
     params = ScheduleParams(T=2, c0=1.0, c1=0.5, c_clip=1.0, d=d)
     sigma = math.sqrt(alpha_t - 1.0 / (3.0 - 2.0 * alpha_t))
     return Schedule(
         params=params,
-        alpha_bar=np.array([0.5, 0.5 * alpha_t]),
-        alpha=np.array([0.5, alpha_t]),
-        sigma=np.array([sigma]),
-        clip_radius=np.array([clip_radius]),
+        alpha_bar=np.array([1.0, 0.5, 0.5 * alpha_t]),
+        alpha=np.array([math.nan, 0.5, alpha_t]),
+        sigma=np.array([math.nan, math.nan, sigma]),
+        clip_radius=np.array([math.nan, math.nan, clip_radius]),
     )
 
 
@@ -127,7 +127,7 @@ def test_step_clip_matches_schedule_clip_operator():
     for t in [2, 5, 8]:
         y = rng.standard_normal((1, 2)) * 3
         z_mid = rng.standard_normal((1, 2))
-        a = s.alpha_at(t)
+        a = s.alpha[t]
         g_raw = (a**1.5 * model.evaluate(t - 1, (y + (1 - a) / (2 * a) * model.evaluate(t, y))
                                          / math.sqrt(a) + (1 - a) * z_mid)
                  - model.evaluate(t, y + (1 - a) * z_mid))
@@ -169,7 +169,7 @@ def test_shared_noise_contract():
     assert steps.count(t - 1) == 1
     assert len(steps) == 3
 
-    a = s.alpha_at(t)
+    a = s.alpha[t]
     args_t = [x for t_, x in counter.calls if t_ == t]
     perturbed = [x for x in args_t if not np.allclose(x.ravel(), y)]
     assert len(perturbed) == 1
@@ -229,8 +229,8 @@ def test_vectors_are_not_batches():
 def gaussian_score(s, seed):
     rng = np.random.default_rng(seed)
     root = rng.standard_normal((s.d, s.d))
-    return _AffineScore(gaussian_target(rng.standard_normal(s.d),
-                                        root @ root.T + 0.5 * np.eye(s.d)), s)
+    return ScoreModel("exact", gaussian_target(rng.standard_normal(s.d),
+                                               root @ root.T + 0.5 * np.eye(s.d)), s)
 
 
 @pytest.mark.parametrize("kind", ["accelerated", "accelerated_noclip", "ddpm", "ode"])
@@ -251,7 +251,7 @@ def test_time_batched_step_matches_per_step_calls(kind):
         rows = t == k
         stacked[rows], stacked_clipped[rows] = step(kind, s, score, int(k), y[rows],
                                                     z_mid[rows], z[rows])
-    assert np.allclose(batched, stacked, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(batched, stacked)
     assert np.array_equal(clipped, stacked_clipped)
     if kind == "accelerated":
         assert 0 < np.count_nonzero(clipped) < n

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,17 +13,20 @@ from difflab.schedule import (
     clip,
     schedule_lemma_checks,
 )
+from difflab.samplers import KINDS, step
+from difflab.score_oracle import ScoreModel
+from difflab.targets import standard_normal_target
 
 
 def test_terminal_value_pinned():
     s = build_schedule(ScheduleParams(T=10, c0=2.0, c1=1.0, c_clip=1.0, d=1))
-    assert s.alpha_bar_at(10) == 10.0 ** -2.0
+    assert s.alpha_bar[10] == 10.0 ** -2.0
 
 
 def test_one_recursion_step_by_hand():
     s = build_schedule(ScheduleParams(T=10, c0=2.0, c1=1.0, c_clip=1.0, d=1))
     expected = 0.01 + (math.log(10.0) / 10.0) * 0.01 * 0.99
-    assert abs(s.alpha_bar_at(9) - expected) < 1e-16
+    assert abs(s.alpha_bar[9] - expected) < 1e-16
     assert abs(expected - 0.01227956) < 5e-9
 
 
@@ -34,23 +38,23 @@ def test_sigma_closed_forms_agree():
     assert abs(direct - 0.0096078) < 5e-8
 
     s = build_schedule(ScheduleParams(T=64, c0=4.0, c1=4.0, c_clip=2.0, d=2))
-    a = s.alpha[1:]
+    a = s.alpha[2:]
     factored = (1.0 - a) * (2.0 * a - 1.0) / (3.0 - 2.0 * a)
-    assert np.max(np.abs(s.sigma**2 - factored) / factored) < 1e-12
+    assert np.max(np.abs(s.sigma[2:]**2 - factored) / factored) < 1e-12
 
 
 @pytest.mark.parametrize("T", [2, 16, 64, 256])
 def test_monotone_and_consistent(T):
     s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=1.0, c_clip=2.0, d=3))
-    abar = s.alpha_bar
+    abar = s.alpha_bar[1:]
     assert np.all(abar > 0) and np.all(abar < 1)
     assert np.all(np.diff(abar) < 0)  # strictly decreasing in t
-    assert np.all(s.alpha[1:] > 0.5) and np.all(s.alpha[1:] < 1)
+    assert np.all(s.alpha[2:] > 0.5) and np.all(s.alpha[2:] < 1)
     # product of per-step rates reproduces the cumulative rate
-    prod = np.cumprod(s.alpha)
+    prod = np.cumprod(s.alpha[1:])
     assert np.max(np.abs(prod - abar) / abar) < 1e-10
-    assert np.all(s.sigma > 0)
-    assert np.all(s.clip_radius > 0)
+    assert np.all(s.sigma[2:] > 0)
+    assert np.all(s.clip_radius[2:] > 0)
 
 
 def test_invalid_params_rejected():
@@ -99,7 +103,7 @@ def test_lemma_check_detects_violation():
     s = build_schedule(ScheduleParams(T=32, c0=1.0, c1=2.0, c_clip=2.0, d=1))
     rate = s.params.step_rate
     alpha = s.alpha.copy()
-    alpha[1] = 1.0 - 2.0 * rate  # overwrite the t=2 rate
+    alpha[2] = 1.0 - 2.0 * rate  # overwrite the t=2 rate
     broken = Schedule(params=s.params, alpha_bar=s.alpha_bar.copy(), alpha=alpha,
                       sigma=s.sigma.copy(), clip_radius=s.clip_radius.copy())
     rep = schedule_lemma_checks(broken)
@@ -121,7 +125,7 @@ def test_lemma_report_minimal_horizon():
 def test_clip_semantics():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=3))
     t = 5
-    r = s.clip_radius_at(t)
+    r = s.clip_radius[t]
     zero = np.zeros((1, 3))
     assert np.array_equal(clip(s, t, zero), zero)
 
@@ -147,7 +151,7 @@ def test_batch_clip_is_rowwise_and_passes_nan():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=0.05, d=3))
     t = 6
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((64, 3)) * rng.uniform(0.0, 2.0 * s.clip_radius_at(t), (64, 1))
+    x = rng.standard_normal((64, 3)) * rng.uniform(0.0, 2.0 * s.clip_radius[t], (64, 1))
     x[7] = np.nan
     x[8, 1] = np.nan
     out = clip(s, t, x)
@@ -155,8 +159,8 @@ def test_batch_clip_is_rowwise_and_passes_nan():
         assert np.array_equal(got, clip(s, t, row[None])[0], equal_nan=True)
     assert np.array_equal(out[7:9], x[7:9], equal_nan=True)
     norms = np.linalg.norm(x, axis=1)
-    kept = norms <= s.clip_radius_at(t)
-    assert kept.any() and (norms > s.clip_radius_at(t)).any()
+    kept = norms <= s.clip_radius[t]
+    assert kept.any() and (norms > s.clip_radius[t]).any()
     assert np.array_equal(out[kept], x[kept])
 
 
@@ -170,23 +174,45 @@ def test_clip_errors():
         clip(s, 2, np.zeros((1, 3)))
 
 
-def test_accessors_guard_range():
+def test_step_index_range_at_every_entry_point():
+    # _check_t is the one range rule: clip and the steps start at t = 2, the
+    # score at t = 1, and nothing goes past T
     s = build_schedule(ScheduleParams(T=4, c0=1.0, c1=0.5, c_clip=1.0, d=1))
-    with pytest.raises(InvalidParams, match="outside"):
-        s.sigma_at(1)
-    with pytest.raises(InvalidParams, match="outside"):
-        s.alpha_at(0)
-    with pytest.raises(InvalidParams, match="outside"):
-        s.alpha_bar_at(5)
-
-
-def test_accessors_take_step_arrays():
-    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
-    t = np.array([2, 16, 7, 7])
-    for at in (s.alpha_at, s.alpha_bar_at, s.sigma_at, s.clip_radius_at):
-        assert np.array_equal(at(t), [at(int(k)) for k in t])
-        assert isinstance(at(7), float)
+    model = ScoreModel("exact", standard_normal_target(1), s)
+    x = np.zeros((2, 1))
+    for t in (1, 5, np.array([1, 2]), np.array([3, 5])):
         with pytest.raises(InvalidParams, match="outside"):
-            at(np.array([3, 17]))
-    with pytest.raises(InvalidParams, match="outside"):
-        s.sigma_at(np.array([1, 2]))
+            clip(s, t, x)
+        for kind in KINDS:
+            with pytest.raises(InvalidParams, match="outside"):
+                step(kind, s, model, t, x, x, x)
+    for t in (0, 5, np.array([0, 2]), np.array([3, 5])):
+        with pytest.raises(InvalidParams, match="outside"):
+            model.evaluate(t, x)
+    # a per-row t has one integer step for each row of the batch
+    for t in (2.0, "3", None, np.array([2.0, 3.0]), np.array([2]), np.array([2, 3, 4])):
+        with pytest.raises(InvalidParams, match="one integer or one per row"):
+            clip(s, t, x)
+        for kind in KINDS:
+            with pytest.raises(InvalidParams, match="one integer or one per row"):
+                step(kind, s, model, t, x, x, x)
+        with pytest.raises(InvalidParams, match="one integer or one per row"):
+            model.evaluate(t, x)
+
+
+def test_tables_indexed_by_step():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # undefined entries are NaN without a RuntimeWarning
+        s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=2))
+    tables = (s.alpha_bar, s.alpha, s.sigma, s.clip_radius)
+    for table in tables:
+        assert table.shape == (17,) and not table.flags.writeable
+    # alpha_bar[0] = 1 is the data, so alpha[t] = alpha_bar[t] / alpha_bar[t-1] from t = 1
+    assert s.alpha_bar[0] == 1.0 and s.alpha[1] == s.alpha_bar[1]
+    assert s.alpha[7] == s.alpha_bar[7] / s.alpha_bar[6]
+    assert np.isnan(s.alpha[0]) and not np.isnan(s.alpha[1:]).any()
+    for table in (s.sigma, s.clip_radius):
+        assert np.isnan(table[:2]).all() and not np.isnan(table[2:]).any()
+    t = np.array([2, 16, 7, 7])
+    for table in tables:
+        assert np.array_equal(table[t], [table[int(k)] for k in t])

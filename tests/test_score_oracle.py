@@ -8,7 +8,7 @@ from difflab import samplers, targets
 from difflab.errors import InvalidParams
 from difflab.schedule import ScheduleParams, build_schedule
 from difflab.score_oracle import ScoreModel
-from difflab.targets import GaussianMixture, standard_normal_target
+from difflab.targets import GaussianMixture, gaussian_target, standard_normal_target
 
 
 def setup_schedule(T=16, d=2):
@@ -166,16 +166,85 @@ def test_marginals_built_on_first_use(monkeypatch):
     assert np.array_equal(clone.evaluate(7, x), model.evaluate(7, x))
 
 
+def correlated_gaussian():
+    return gaussian_target([0.7, -1.3], np.array([[1.7, 0.6], [0.6, 0.45]]))
+
+
+def two_component_2d():
+    return GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                           np.stack([np.eye(2), np.eye(2)]))
+
+
 def test_step_index_must_be_one_integer():
     s = setup_schedule()
-    model = ScoreModel("offset", standard_normal_target(2), s, 0.3)
-    y = np.array([[0.3, -0.4], [1.2, 0.8]])
-    # the sampler's own score takes one step per call; a per-row t is refused
+    gauss = ScoreModel("offset", correlated_gaussian(), s, 0.3)
+    mix = ScoreModel("offset", two_component_2d(), s, 0.3)
+    y = np.array([[0.3, -0.4], [1.2, 0.8], [-0.5, 2.0]])
+    # on one Gaussian an int array t runs each row at its own step, with the
+    # bits of the per-row calls
+    t = np.array([2, 16, 7])
+    rows = gauss.evaluate(t, y)
+    for i in range(3):
+        assert np.array_equal(rows[i], gauss.evaluate(int(t[i]), y[i:i + 1])[0])
+    with pytest.raises(InvalidParams):  # one step per row, not one for all rows
+        gauss.evaluate(np.array([3]), y)
+    # a mixture's score takes one step per call; a per-row t is refused
     with pytest.raises(InvalidParams):
-        samplers.step("ddpm", s, model, np.array([2, 3]), y, None, np.zeros_like(y))
+        samplers.step("ddpm", s, mix, np.array([2, 3, 4]), y, None, np.zeros_like(y))
     with pytest.raises(InvalidParams):
-        model.evaluate(np.array([3]), y)
-    with pytest.raises(InvalidParams):
-        model.evaluate(3.0, y)
-    assert np.array_equal(model.evaluate(np.int64(3), y), model.evaluate(3, y))
-    assert np.array_equal(model.evaluate(np.array(3), y), model.evaluate(3, y))
+        mix.evaluate(np.array([3]), y)
+    for model in (gauss, mix):
+        for bad in (3.0, np.array([3.0, 4.0, 5.0])):
+            with pytest.raises(InvalidParams):
+                model.evaluate(bad, y)
+        assert np.array_equal(model.evaluate(np.int64(3), y), model.evaluate(3, y))
+        assert np.array_equal(model.evaluate(np.array(3), y), model.evaluate(3, y))
+
+
+def test_single_gaussian_score_has_the_marginal_bits():
+    # ScoreModel holds the one exact single-Gaussian score; at every step it
+    # equals the mixture score of that step's marginal bit for bit, signed
+    # zeros included, and its stacks are built on first use only
+    s = setup_schedule(T=16, d=2)
+    model = ScoreModel("exact", correlated_gaussian(), s)
+    model.eps_score()
+    assert "_stacks" not in vars(model)
+    rng = np.random.default_rng(4)
+    for t in range(1, s.T + 1):
+        law = model.marginal(t)
+        x = law.means[0] + 3.0 * rng.standard_normal((300, 2))
+        x[:2] = law.means[0]
+        x[2, 0] = law.means[0, 0]
+        assert model.evaluate(t, x).tobytes() == targets.score(law, x).tobytes()
+        assert model._stacks[1][t].tobytes() == law._precisions[0].tobytes()
+        assert model._stacks[0][t].tobytes() == law.means[0].tobytes()
+
+
+def test_far_tail_single_gaussian_score_is_finite():
+    # |x - m| ~ 1e160 overflows every Mahalanobis term: the mixture score of
+    # the marginal is NaN there, for one component too, while the model's
+    # closed form stays finite
+    s = setup_schedule()
+    model = ScoreModel("exact", correlated_gaussian(), s)
+    x = np.array([[1e160, 0.0]])
+    for t in (1, 8, 16):
+        assert np.all(np.isfinite(model.evaluate(t, x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isnan(targets.score(model.marginal(t), x)))
+
+
+@pytest.mark.parametrize("T, delta", [(83, 0.04097352393619469), (16, 1e200), (16, -0.3)])
+def test_offset_eps_score_is_the_level_exactly(T, delta):
+    # no square and root: sqrt(mean(delta^2)) is 0.04097352393619468 at T = 83,
+    # and inf at delta = 1e200
+    model = ScoreModel("offset", standard_normal_target(2), setup_schedule(T=T), delta)
+    report = model.eps_score()
+    assert report.eps_score == abs(delta)
+    assert np.all(report.per_step == abs(delta)) and report.per_step.shape == (T,)
+
+
+def test_relative_eps_score_refuses_a_non_finite_aggregate():
+    s = setup_schedule(T=8)
+    model = ScoreModel("relative", standard_normal_target(2), s, 1e308)
+    with pytest.raises(InvalidParams, match="not finite"):
+        model.eps_score(mc_samples=10, stream=np.random.default_rng(0))

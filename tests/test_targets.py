@@ -83,7 +83,7 @@ def test_forward_marginal_scaling():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=2))
     # hunt for the transformation at whatever abar the schedule provides
     t = 8
-    abar = s.alpha_bar_at(t)
+    abar = s.alpha_bar[t]
     law = forward_marginal(target, s, t)
     assert np.allclose(law.means[0], np.sqrt(abar) * mu)
     assert np.allclose(law.covariances[0], np.eye(2))
@@ -95,7 +95,7 @@ def test_forward_marginal_two_component_moment_match():
     gm = two_component_1d()
     s = build_schedule(ScheduleParams(T=32, c0=2.0, c1=2.0, d=1))
     t = 20
-    abar = s.alpha_bar_at(t)
+    abar = s.alpha_bar[t]
     law = forward_marginal(gm, s, t)
     assert np.allclose(law.means[:, 0], np.sqrt(abar) * gm.means[:, 0])
     assert np.allclose(law.covariances[:, 0, 0],
@@ -197,10 +197,10 @@ def test_score_matches_finite_differences():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 4), K=st.integers(1, 4), t=st.integers(0, 16),
        seed=st.integers(0, 2**32 - 1))
-@example(d=3, K=1, t=0, seed=1)  # the one-component closed form on a correlated target
+@example(d=3, K=1, t=0, seed=1)  # one component on a correlated target
 def test_score_is_the_gradient_of_log_density(d, K, t, seed):
-    # log_density always takes the general mixture path, so for K = 1 this
-    # checks the closed-form score against independent code
+    # finite differences of log_density check the score against independent
+    # code; ScoreModel's single-Gaussian score has these bits (test_score_oracle)
     rng = np.random.default_rng(seed)
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=d))
     law = forward_marginal(random_mixture(rng, d, K), s, t)
