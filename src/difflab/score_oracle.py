@@ -17,7 +17,7 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import targets
 from .errors import InvalidParams
 from .schedule import Schedule, _as_batch, is_real
-from .targets import GaussianMixture
+from .targets import _LOG_2PI, GaussianMixture
 
 MODES = ("exact", "offset", "relative")
 
@@ -43,17 +43,14 @@ class EpsReport:
 class ScoreModel:
     """Immutable score evaluator over a fixed target and schedule.
 
-    The noised marginal of step t is built on its first use and cached, and
-    so are a single Gaussian's per-step stacks; no cache is part of the
-    model's value.
+    Every step's noised marginal is stacked on first use and indexed by t;
+    the stacks are a cache, not part of the model's value.
     """
 
     mode: str
     target: GaussianMixture
     schedule: Schedule
     level: float = 0.0  # delta in offset mode, rho in relative mode
-    _marginals: dict[int, GaussianMixture] = field(default_factory=dict, init=False,
-                                                   repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -69,36 +66,36 @@ class ScoreModel:
             )
 
     def marginal(self, t: int) -> GaussianMixture:
-        t = self.schedule._check_t(t, lo=1)
-        if t not in self._marginals:
-            self._marginals[t] = targets.forward_marginal(self.target, self.schedule, t)
-        return self._marginals[t]
+        return targets.forward_marginal(self.target, self.schedule, t)
 
     @cached_property
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """m_t = sqrt(abar_t) m and P_t = (abar_t C + (1 - abar_t) I)^-1 of a
-        single-Gaussian target for t = 0..T; each P_t is built as
-        ``GaussianMixture`` builds a precision, with the step-t marginal's bits."""
-        abar = self.schedule.alpha_bar
-        cov = abar[:, None, None] * self.target.covariances[0]
-        cov += (1.0 - abar)[:, None, None] * np.eye(self.target.d)
-        chol_invs = np.linalg.inv(np.linalg.cholesky(cov))
-        precisions = np.matmul(np.swapaxes(chol_invs, 1, 2), chol_invs)
-        precisions = 0.5 * (precisions + np.swapaxes(precisions, 1, 2))
-        return np.sqrt(abar)[:, None] * self.target.means[0], precisions
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Means (T+1, K, d), precisions (T+1, K, d, d) and, if K > 1, log-coefficients
+        (T+1, K) of the marginals t = 0..T, with the bits of ``forward_marginal``."""
+        abar, (K, d) = self.schedule.alpha_bar, self.target.means.shape
+        chols = np.linalg.cholesky(abar[:, None, None, None] * self.target.covariances
+                                   + (1.0 - abar)[:, None, None, None] * np.eye(d))
+        chol_invs = np.linalg.inv(chols)
+        precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
+        precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
+        means = np.sqrt(abar)[:, None, None] * self.target.means
+        if K == 1:  # the closed form below needs no normalizer
+            return means, precisions, None
+        log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=-2, axis2=-1))).sum(axis=-1)
+        return means, precisions, np.log(self.target.weights) - 0.5 * (d * _LOG_2PI + log_dets)
 
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
         """grad log p_t at the rows of a batch x (n, d), as a new array; on a
         single-Gaussian target -(x - m_t) P_t, where t may also be an int
         array with one step per row."""
-        if self.target.K != 1:
-            return targets.score(self.marginal(t), x)
         x = _as_batch(x, self.target.d)
-        t = self.schedule._check_t(t, lo=1, rows=len(x))
-        means, precisions = self._stacks
+        t = self.schedule._check_t(t, lo=1, rows=len(x) if self.target.K == 1 else None)
+        means, precisions, log_coefs = self._stacks
+        if log_coefs is not None:
+            return targets.mixture_score(means[t], precisions[t], log_coefs[t], x)
         if isinstance(t, np.ndarray):
-            return -np.matmul((x - means[t])[:, None], precisions[t])[:, 0]
-        return -np.matmul(x - means[t], precisions[t])
+            return -np.matmul((x - means[t, 0])[:, None], precisions[t, 0])[:, 0]
+        return -np.matmul(x - means[t, 0], precisions[t, 0])
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:
         """s_t at the rows of a batch x (n, d), as a batch (n, d).  t is one

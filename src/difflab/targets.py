@@ -64,8 +64,7 @@ class GaussianMixture:
             chols = np.stack([cholesky(c[i], lower=True) for i in range(k)])
         except np.linalg.LinAlgError as exc:
             raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
-        # P = C^-1 = L^-T L^-1, symmetrized: the kernel's row form diff @ P
-        # stands for P @ diff
+        # P = C^-1 = L^-T L^-1, symmetrized: the K = 1 score's (x - m) @ P is P (x - m)
         chol_invs = np.linalg.inv(chols)
         precisions = np.matmul(np.transpose(chol_invs, (0, 2, 1)), chol_invs)
         precisions = 0.5 * (precisions + np.transpose(precisions, (0, 2, 1)))
@@ -134,16 +133,13 @@ def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMi
     )
 
 
-def _component_terms(mix: GaussianMixture, x: np.ndarray):
-    """All components of a batch in one pass.
-
-    Returns (top, scaled, pdiff): the per-point max over components of
-    log w_k + log N(x; m_k, C_k), shape (n,); exp of those log-pdfs minus
-    top, shape (K, n); and P_k (x - m_k), shape (K, n, d).
-    """
-    diff = x[None, :, :] - mix.means[:, None, :]
-    pdiff = np.matmul(diff, mix._precisions)
-    log_pdfs = mix._log_coefs[:, None] - 0.5 * np.einsum("knd,knd->kn", diff, pdiff)
+def _component_terms(means, precisions, log_coefs, x: np.ndarray):
+    """(top, scaled, pdiff) of a batch x (n, d), component-major: the max over
+    components of log w_k + log N(x; m_k, C_k), shape (n,); exp of those
+    log-pdfs minus top, shape (K, n); and P_k (x - m_k), shape (K, d, n)."""
+    diff = np.ascontiguousarray(x.T)[None] - means[:, :, None]
+    pdiff = np.matmul(precisions, diff)
+    log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
     # clamped so that a point where every log-pdf is -inf (its Mahalanobis
     # terms overflow) gets log-density -inf rather than nan
     top = np.maximum(log_pdfs.max(axis=0), -np.finfo(float).max)
@@ -153,22 +149,27 @@ def _component_terms(mix: GaussianMixture, x: np.ndarray):
 def log_density(mix: GaussianMixture, x) -> np.ndarray:
     """Mixture log-density (n,) at the rows of a batch x (n, d), via a
     max-shifted log-sum-exp; finite for all finite x."""
-    top, scaled, _ = _component_terms(mix, _as_batch(x, mix.d))
+    top, scaled, _ = _component_terms(mix.means, mix._precisions, mix._log_coefs,
+                                      _as_batch(x, mix.d))
     return top + np.log(scaled.sum(axis=0))
 
 
-def score(mix: GaussianMixture, x) -> np.ndarray:
-    """Gradient (n, d) of the mixture log-density at the rows of a batch x
-    (n, d), as a new array: -sum_k r_k P_k (x - m_k).
+def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
+    """Gradient (n, d), as a new array, of the log-density of the mixture with
+    component means (K, d), precisions (K, d, d) and log-coefficients (K,) at
+    the rows of a batch x (n, d): -sum_k r_k P_k (x - m_k), r_k a max-shifted
+    softmax of the log-pdfs, exactly 0 where one underflows.  Where every
+    Mahalanobis term overflows (|x - m| past about 1e154) every r_k is 0/0
+    and the score is NaN, also for K = 1."""
+    _, scaled, pdiff = _component_terms(means, precisions, log_coefs, x)
+    with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
+        resp = scaled / scaled.sum(axis=0)
+    return -np.einsum("kn,kdn->nd", resp, pdiff)
 
-    Posterior responsibilities r_k are a max-shifted softmax over the
-    components' log-pdfs; components that underflow contribute exactly
-    zero weight.  Where every Mahalanobis term overflows (|x - m| past about
-    1e154) every responsibility is 0/0 and the score is NaN, also for K = 1.
-    """
-    _, scaled, pdiff = _component_terms(mix, _as_batch(x, mix.d))
-    resp = scaled / scaled.sum(axis=0)
-    return -np.einsum("kn,knd->nd", resp, pdiff)
+
+def score(mix: GaussianMixture, x) -> np.ndarray:
+    """``mixture_score`` of a mixture at the rows of a batch x (n, d)."""
+    return mixture_score(mix.means, mix._precisions, mix._log_coefs, _as_batch(x, mix.d))
 
 
 def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndarray:
@@ -196,8 +197,9 @@ def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q: np.ndarray) ->
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise InvalidParams(f"q must be one axis of points, got shape {q.shape}")
-    z = (q[:, None] - proj_means) / proj_sds
-    return ndtr(z) @ mix.weights
+    z = (q[None, :] - proj_means[:, None]) / proj_sds[:, None]
+    # summed point by point: weights @ ndtr(z) would round some K >= 3 sums differently
+    return np.ascontiguousarray(ndtr(z).T) @ mix.weights
 
 
 def load_target(path: str) -> GaussianMixture:

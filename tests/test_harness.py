@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,14 +390,16 @@ def test_overflowing_relative_error_fails_its_cell_alone(tmp_path, capsys):
     assert failed.startswith("# cell_failed,ddpm,16,relative score error is not finite")
 
 
-def test_far_tail_mixture_score_fails_its_cell_alone(tmp_path):
+def test_far_tail_mixture_score_fails_its_cell_alone(tmp_path, capsys):
     # an offset of 1e200 drives the trajectories past |x| ~ 1e154, where every
     # Mahalanobis term of the mixture overflows and the score is NaN: the
-    # refusal is the cell's failure, never a NaN in the CSV
-    with np.errstate(invalid="ignore"):
+    # refusal is the cell's failure, never a NaN in the CSV, and the 0/0 of
+    # the responsibilities raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         status, data, comments = run_two_level_sweep(
             tmp_path, MIXTURE_TARGET, {"mode": "offset", "delta": [0.1, 1e200]})
-    assert status == 0
+    assert status == 0 and capsys.readouterr().err == ""
     assert len(data) == 2
     assert "" not in [data[0].split(",")[i] for i in (3, 6, 7, 8)]
     assert data[1].split(",")[3:9] == [""] * 6

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflab import samplers, targets
 from difflab.errors import InvalidParams
@@ -131,7 +132,9 @@ def test_from_config():
     assert np.array_equal(m.evaluate(5, x), (1.0 - 0.2) * exact)
 
 
-def test_marginals_built_on_first_use(monkeypatch):
+def test_stacks_built_on_first_use(monkeypatch):
+    # construction builds nothing, evaluate reads the per-step stacks and
+    # builds no marginal, and marginal(t) is forward_marginal's law
     real = targets.forward_marginal
     calls = []
 
@@ -141,7 +144,7 @@ def test_marginals_built_on_first_use(monkeypatch):
 
     monkeypatch.setattr(targets, "forward_marginal", counting)
     long = build_schedule(ScheduleParams(T=16384, c0=2.0, c1=2.5, d=2))
-    ScoreModel("exact", standard_normal_target(2), long)
+    assert "_stacks" not in vars(ScoreModel("exact", standard_normal_target(2), long))
     assert calls == []
 
     s = setup_schedule()
@@ -154,9 +157,10 @@ def test_marginals_built_on_first_use(monkeypatch):
     x = np.array([[0.3, -0.4], [1.2, 0.8]])
     first = model.evaluate(5, x)
     assert np.array_equal(model.evaluate(5, x), first)
-    assert calls == [5]
+    assert calls == [] and "_stacks" in vars(model)
 
     law, expected = model.marginal(9), real(gm, s, 9)
+    assert calls == [9]
     assert np.array_equal(law.weights, expected.weights)
     assert np.array_equal(law.means, expected.means)
     assert np.array_equal(law.covariances, expected.covariances)
@@ -164,6 +168,40 @@ def test_marginals_built_on_first_use(monkeypatch):
     clone = pickle.loads(pickle.dumps(model))
     assert np.array_equal(clone.evaluate(5, x), first)
     assert np.array_equal(clone.evaluate(7, x), model.evaluate(7, x))
+
+
+def random_mixture(rng, d, K):
+    weights = rng.uniform(0.2, 1.0, K)
+    covs = rng.standard_normal((K, d, d))
+    covs = covs @ np.swapaxes(covs, 1, 2) / d + 0.5 * np.eye(d)
+    return GaussianMixture(weights / weights.sum(), rng.uniform(-2.0, 2.0, (K, d)), covs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 4), d=st.integers(1, 3), T=st.sampled_from([2, 16, 257]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacks_have_the_marginal_bits(K, d, T, seed):
+    # every step's stacked means, precisions and log-coefficients are the
+    # bytes of forward_marginal's, and a mixture's score is targets.score of
+    # that marginal bit for bit
+    rng = np.random.default_rng(seed)
+    target = random_mixture(rng, d, K)
+    s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.5, d=d))
+    model = ScoreModel("exact", target, s)
+    means, precisions, log_coefs = model._stacks
+    assert (log_coefs is None) == (K == 1)  # the K = 1 closed form needs none
+    x = 3.0 * rng.standard_normal((200, d))
+    for t in sorted({0, 1, 2, T // 2, T - 1, T}):
+        law = targets.forward_marginal(target, s, t)
+        assert means[t].tobytes() == law.means.tobytes()
+        assert precisions[t].tobytes() == law._precisions.tobytes()
+        if K > 1:
+            assert log_coefs[t].tobytes() == law._log_coefs.tobytes()
+            if t >= 1:
+                assert model.evaluate(t, x).tobytes() == targets.score(law, x).tobytes()
+    if K > 1:  # a mixture's score takes one step per call
+        with pytest.raises(InvalidParams):
+            model.evaluate(np.full(len(x), 1), x)
 
 
 def correlated_gaussian():
