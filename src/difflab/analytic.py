@@ -27,9 +27,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from . import samplers
+from . import samplers, targets
 from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule
 from .score_oracle import ScoreModel
@@ -118,12 +117,12 @@ def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:
     """
     if p.d != q.d:
         raise InvalidParams("laws must share a dimension")
-    cq = cho_factor(q.cov, lower=True)
+    chol_q, prec_q, _ = targets.factor(1.0, q.cov)
     logdet_p = np.linalg.slogdet(p.cov)[1]
-    logdet_q = 2.0 * float(np.sum(np.log(np.abs(np.diag(cq[0])))))
+    logdet_q = 2.0 * float(np.sum(np.log(np.abs(np.diag(chol_q)))))
     diff = q.mean - p.mean
-    trace = float(np.trace(cho_solve(cq, p.cov)))
-    maha = float(diff @ cho_solve(cq, diff))
+    trace = float(np.trace(prec_q @ p.cov))
+    maha = float(diff @ prec_q @ diff)
     return 0.5 * (trace + maha - p.d + logdet_q - float(logdet_p))
 
 

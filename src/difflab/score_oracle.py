@@ -25,7 +25,7 @@ import numpy as np
 from . import targets
 from .errors import InvalidParams
 from .schedule import Schedule, _as_batch, is_real
-from .targets import _LOG_2PI, GaussianMixture
+from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
 
@@ -65,24 +65,17 @@ class ScoreModel:
                 f"target dimension {self.target.d} != schedule dimension {self.schedule.d}"
             )
 
-    def marginal(self, t: int) -> GaussianMixture:
-        return targets.forward_marginal(self.target, self.schedule, t)
-
     @cached_property
     def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Means (T+1, K, d), precisions (T+1, K, d, d) and, if K > 1, log-coefficients
         (T+1, K) of the marginals t = 0..T, with the bits of ``forward_marginal``."""
-        abar, (K, d) = self.schedule.alpha_bar, self.target.means.shape
-        chols = np.linalg.cholesky(abar[:, None, None, None] * self.target.covariances
-                                   + (1.0 - abar)[:, None, None, None] * np.eye(d))
-        chol_invs = np.linalg.inv(chols)
-        precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
-        precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
+        abar, d = self.schedule.alpha_bar, self.target.d
+        _, precisions, log_coefs = targets.factor(
+            self.target.weights, abar[:, None, None, None] * self.target.covariances
+            + (1.0 - abar)[:, None, None, None] * np.eye(d))
         means = np.sqrt(abar)[:, None, None] * self.target.means
-        if K == 1:  # the closed form below needs no normalizer
-            return means, precisions, None
-        log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=-2, axis2=-1))).sum(axis=-1)
-        return means, precisions, np.log(self.target.weights) - 0.5 * (d * _LOG_2PI + log_dets)
+        # the K = 1 closed form needs no normalizer: its table is not kept
+        return means, precisions, log_coefs if self.target.K > 1 else None
 
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
         """grad log p_t at the rows of a batch x (n, d), as a new array; on a
@@ -127,7 +120,8 @@ class ScoreModel:
         mean_sq = np.empty(T)
         var_sq = np.empty(T)
         for t in range(1, T + 1):
-            draws = targets.sample(self.marginal(t), mc_samples, stream)
+            law = targets.forward_marginal(self.target, self.schedule, t)
+            draws = targets.sample(law, mc_samples, stream)
             sq = np.sum(self._exact(t, draws) ** 2, axis=1)
             mean_sq[t - 1] = sq.mean()
             var_sq[t - 1] = sq.var(ddof=1) / mc_samples if mc_samples > 1 else 0.0

@@ -1,4 +1,4 @@
-"""Gaussian-mixture targets, their noised marginals, densities, and scores.
+"""Gaussian-mixture targets, their noised marginals, and scores.
 
 A mixture target is the one family for which every noised marginal stays in
 closed form: scaling the data by sqrt(abar_t) and adding (1 - abar_t) units
@@ -6,9 +6,9 @@ of isotropic noise maps component (w, mu, Sigma) to
 
     (w, sqrt(abar_t) * mu, abar_t * Sigma + (1 - abar_t) * I).
 
-That gives exact log-densities, exact scores (the gradient of the log
-density), and exact 1-D projected CDFs, which is what makes oracle-grade
-verification of the samplers possible.
+That gives exact scores (the gradient of the log density) and exact 1-D
+projected CDFs, which is what makes oracle-grade verification of the
+samplers possible.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.special import ndtr
 
 from .errors import InvalidParams, TargetLoadFailed
@@ -27,14 +26,33 @@ from .schedule import Schedule, _as_batch, as_integer
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def factor(weights, covariances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factors L, precisions P = C^-1 = L^-T L^-1 and log-coefficients
+    log w + log of the N(x; m, C) normalizer of covariances C (..., d, d) with
+    weights w, over any leading axes: the one factorization behind every mixture,
+    score stack and Gaussian divergence.  InvalidParams if C is not positive-definite."""
+    try:
+        chols = np.linalg.cholesky(covariances)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
+    del covariances  # a caller's stacked temporary is freed before the factors grow
+    chol_invs = np.linalg.inv(chols)
+    # symmetrized: the K = 1 score's (x - m) @ P is P (x - m)
+    precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
+    precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
+    log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=-2, axis2=-1))).sum(axis=-1)
+    log_coefs = np.log(weights) - 0.5 * (chols.shape[-1] * _LOG_2PI + log_dets)
+    return chols, precisions, log_coefs
+
+
 @dataclass(frozen=True)
 class GaussianMixture:
     """Weights (K,), means (K, d) and covariances (K, d, d) of a Gaussian mixture.
 
-    Weights must be positive and sum to 1 within 1e-12; every covariance
-    must admit a Cholesky factorization.  Factors, precisions and
-    log-coefficients are cached on construction so score evaluation is
-    O(K * d^2) per point.
+    Every entry must be finite, weights must be positive and sum to 1 within
+    1e-12, and every covariance must admit a Cholesky factorization.  The
+    ``factor`` of the weights and covariances is cached on construction so
+    score evaluation is O(K * d^2) per point.
     """
 
     weights: np.ndarray   # (K,)
@@ -53,24 +71,15 @@ class GaussianMixture:
             raise InvalidParams(
                 f"inconsistent mixture shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
             )
-        k, d = m.shape
+        if not all(np.isfinite(a).all() for a in (w, m, c)):
+            raise InvalidParams("mixture weights, means and covariances must be finite")
         if np.any(w <= 0):
             raise InvalidParams("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidParams(f"mixture weights sum to {w.sum()!r}, not 1")
         if np.max(np.abs(c - np.transpose(c, (0, 2, 1)))) > 1e-12:
             raise InvalidParams("covariances must be symmetric")
-        try:
-            chols = np.stack([cholesky(c[i], lower=True) for i in range(k)])
-        except np.linalg.LinAlgError as exc:
-            raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
-        # P = C^-1 = L^-T L^-1, symmetrized: the K = 1 score's (x - m) @ P is P (x - m)
-        chol_invs = np.linalg.inv(chols)
-        precisions = np.matmul(np.transpose(chol_invs, (0, 2, 1)), chol_invs)
-        precisions = 0.5 * (precisions + np.transpose(precisions, (0, 2, 1)))
-        # log w + log of the N(x; m, C) normalizer, per component
-        log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=1, axis2=2))).sum(axis=1)
-        log_coefs = np.log(w) - 0.5 * (d * _LOG_2PI + log_dets)
+        chols, precisions, log_coefs = factor(w, c)
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_precisions", precisions)
         object.__setattr__(self, "_log_coefs", log_coefs)
@@ -88,7 +97,8 @@ class GaussianMixture:
     def second_moment(self) -> float:
         """E||X||^2 = sum_i w_i (tr Sigma_i + ||mu_i||^2)."""
         traces = np.trace(self.covariances, axis1=1, axis2=2)
-        return float(np.sum(self.weights * (traces + np.sum(self.means**2, axis=1))))
+        with np.errstate(over="ignore"):  # inf is an answer: check_second_moment refuses it
+            return float(np.sum(self.weights * (traces + np.sum(self.means**2, axis=1))))
 
     @property
     def mean(self) -> np.ndarray:
@@ -133,27 +143,6 @@ def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMi
     )
 
 
-def _component_terms(means, precisions, log_coefs, x: np.ndarray):
-    """(top, scaled, pdiff) of a batch x (n, d), component-major: the max over
-    components of log w_k + log N(x; m_k, C_k), shape (n,); exp of those
-    log-pdfs minus top, shape (K, n); and P_k (x - m_k), shape (K, d, n)."""
-    diff = np.ascontiguousarray(x.T)[None] - means[:, :, None]
-    pdiff = np.matmul(precisions, diff)
-    log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
-    # clamped so that a point where every log-pdf is -inf (its Mahalanobis
-    # terms overflow) gets log-density -inf rather than nan
-    top = np.maximum(log_pdfs.max(axis=0), -np.finfo(float).max)
-    return top, np.exp(log_pdfs - top), pdiff
-
-
-def log_density(mix: GaussianMixture, x) -> np.ndarray:
-    """Mixture log-density (n,) at the rows of a batch x (n, d), via a
-    max-shifted log-sum-exp; finite for all finite x."""
-    top, scaled, _ = _component_terms(mix.means, mix._precisions, mix._log_coefs,
-                                      _as_batch(x, mix.d))
-    return top + np.log(scaled.sum(axis=0))
-
-
 def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
     """Gradient (n, d), as a new array, of the log-density of the mixture with
     component means (K, d), precisions (K, d, d) and log-coefficients (K,) at
@@ -161,8 +150,11 @@ def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
     softmax of the log-pdfs, exactly 0 where one underflows.  Where every
     Mahalanobis term overflows (|x - m| past about 1e154) every r_k is 0/0
     and the score is NaN, also for K = 1."""
-    _, scaled, pdiff = _component_terms(means, precisions, log_coefs, x)
+    diff = np.ascontiguousarray(x.T)[None] - means[:, :, None]
+    pdiff = np.matmul(precisions, diff)
+    log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
     with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
+        scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))
         resp = scaled / scaled.sum(axis=0)
     return -np.einsum("kn,kdn->nd", resp, pdiff)
 

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +175,28 @@ def test_cli_error_classes(tmp_path, capsys, error):
     out = tmp_path / "out.csv"
     assert main(error_argv(error, tmp_path, out)) == 1
     assert_one_error_line(capsys, error)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analytic", "sample"])
+@pytest.mark.parametrize("component", [
+    {"weight": 1.0, "mean": [math.nan, 0.0], "cov_scale": 1.0},
+    {"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.inf]]},
+], ids=["nan_mean", "inf_cov"])
+def test_non_finite_target_is_refused_before_any_csv(tmp_path, capsys, command, component):
+    # refused at load: no scipy traceback from analytic, no full sampler run
+    # ending in non-finite outputs, and no numpy warning on the way
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"d": 2, "components": [component]}))
+    out = tmp_path / "out.csv"
+    argv = sample_args(str(target), out, "--seed", "1")
+    if command == "analytic":
+        argv = ["analytic", "--sampler", "ddpm", "--target", str(target), "--T", "16",
+                "--c0", "2", "--c1", "2", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert_one_error_line(capsys, "TargetLoadFailed")
     assert not out.exists()
 
 

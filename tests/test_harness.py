@@ -171,6 +171,24 @@ def test_config_rejected_before_header(tmp_path, capsys, override, parse_error):
     assert not out.exists()
 
 
+def test_overflowing_second_moment_is_one_error_line(tmp_path, capsys):
+    # ||mean||^2 overflows at 1e200: the sweep is refused with one line and
+    # no numpy overflow warning before it
+    target = tmp_path / "far.json"
+    target.write_text(json.dumps({"d": 1, "components": [
+        {"weight": 1.0, "mean": [1e200], "cov_scale": 1.0}]}))
+    out = tmp_path / "sweep.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"target": str(target), "T_grid": [8, 16],
+                                    "samplers": ["ddpm"], "n": 2000, "out": str(out)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "difflab: ConfigInvalid: target second moment exceeds the horizon bound"
+    assert not out.exists()
+
+
 # Any JSON value: null, bool, int, float (NaN and +-inf included), string,
 # list or object.
 JSON_VALUES = st.recursive(

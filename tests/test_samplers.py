@@ -25,7 +25,6 @@ from difflab.score_oracle import ScoreModel
 from difflab.targets import (
     gaussian_target,
     load_target,
-    log_density,
     score,
     standard_normal_target,
 )
@@ -213,7 +212,7 @@ def test_vectors_are_not_batches():
     target = standard_normal_target(2)
     model = ScoreModel("exact", target, s)
     v = np.zeros(2)
-    calls = [lambda: score(target, v), lambda: log_density(target, v),
+    calls = [lambda: score(target, v),
              lambda: accelerated_step(s, model, 3, v, v, v),
              lambda: accelerated_step(s, model, 3, v, v, v, use_clip=False),
              lambda: ddpm_step(s, model, 3, v, v), lambda: ode_step(s, model, 3, v),
@@ -222,7 +221,7 @@ def test_vectors_are_not_batches():
         with pytest.raises(InvalidParams, match="expected a batch"):
             call()
     row = v[None]
-    assert score(target, row).shape == (1, 2) and log_density(target, row).shape == (1,)
+    assert score(target, row).shape == (1, 2)
     assert ddpm_step(s, model, 3, row, row).shape == schedule_clip(s, 3, row).shape == (1, 2)
 
 

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from difflab import samplers, targets
 from difflab.errors import InvalidParams
@@ -133,8 +133,8 @@ def test_from_config():
 
 
 def test_stacks_built_on_first_use(monkeypatch):
-    # construction builds nothing, evaluate reads the per-step stacks and
-    # builds no marginal, and marginal(t) is forward_marginal's law
+    # construction builds nothing, and evaluate reads the per-step stacks and
+    # builds no marginal
     real = targets.forward_marginal
     calls = []
 
@@ -159,12 +159,6 @@ def test_stacks_built_on_first_use(monkeypatch):
     assert np.array_equal(model.evaluate(5, x), first)
     assert calls == [] and "_stacks" in vars(model)
 
-    law, expected = model.marginal(9), real(gm, s, 9)
-    assert calls == [9]
-    assert np.array_equal(law.weights, expected.weights)
-    assert np.array_equal(law.means, expected.means)
-    assert np.array_equal(law.covariances, expected.covariances)
-
     clone = pickle.loads(pickle.dumps(model))
     assert np.array_equal(clone.evaluate(5, x), first)
     assert np.array_equal(clone.evaluate(7, x), model.evaluate(7, x))
@@ -178,12 +172,13 @@ def random_mixture(rng, d, K):
 
 
 @settings(max_examples=40, deadline=None)
-@given(K=st.integers(1, 4), d=st.integers(1, 3), T=st.sampled_from([2, 16, 257]),
+@given(K=st.integers(1, 4), d=st.integers(1, 6), T=st.sampled_from([2, 16, 257]),
        seed=st.integers(0, 2**32 - 1))
+@example(K=2, d=6, T=16, seed=12)  # scipy and numpy Cholesky factors differ in the last bits here
 def test_stacks_have_the_marginal_bits(K, d, T, seed):
     # every step's stacked means, precisions and log-coefficients are the
-    # bytes of forward_marginal's, and a mixture's score is targets.score of
-    # that marginal bit for bit
+    # bytes of forward_marginal's, since both come from targets.factor, and a
+    # mixture's score is targets.score of that marginal bit for bit
     rng = np.random.default_rng(seed)
     target = random_mixture(rng, d, K)
     s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.5, d=d))
@@ -249,7 +244,7 @@ def test_single_gaussian_score_has_the_marginal_bits():
     assert "_stacks" not in vars(model)
     rng = np.random.default_rng(4)
     for t in range(1, s.T + 1):
-        law = model.marginal(t)
+        law = targets.forward_marginal(model.target, s, t)
         x = law.means[0] + 3.0 * rng.standard_normal((300, 2))
         x[:2] = law.means[0]
         x[2, 0] = law.means[0, 0]
@@ -268,7 +263,8 @@ def test_far_tail_single_gaussian_score_is_finite():
     for t in (1, 8, 16):
         assert np.all(np.isfinite(model.evaluate(t, x)))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.all(np.isnan(targets.score(model.marginal(t), x)))
+            law = targets.forward_marginal(model.target, s, t)
+            assert np.all(np.isnan(targets.score(law, x)))
 
 
 @pytest.mark.parametrize("T, delta", [(83, 0.04097352393619469), (16, 1e200), (16, -0.3)])

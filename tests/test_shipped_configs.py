@@ -114,6 +114,16 @@ def test_killed_sweep_leaves_only_complete_rows(tmp_path, jobs):
         float(parts[3])  # eps_score parses
 
 
+def test_bare_import_leaves_scipy_linalg_out():
+    # the library's one factorization is numpy's: of scipy it needs only special
+    code = ("import sys, difflab\n"
+            "assert 'scipy.linalg' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_library_example_runs(tmp_path):
     # the README's one Python block, as a user would paste it into a fresh
     # interpreter

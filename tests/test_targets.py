@@ -1,11 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
+from scipy.linalg import cholesky, inv
 
 from difflab.errors import InvalidParams, TargetLoadFailed
 from difflab.schedule import ScheduleParams, build_schedule
@@ -13,14 +13,20 @@ from difflab.score_oracle import ScoreModel
 from difflab.targets import (
     GaussianMixture,
     check_second_moment,
+    factor,
     forward_marginal,
     gaussian_target,
     load_target,
-    log_density,
     projected_cdf,
     sample,
     score,
     standard_normal_target,
+)
+
+from gaussian_reference import (
+    reference_log_density,
+    reference_score_and_log_density,
+    reference_terms,
 )
 
 
@@ -56,6 +62,54 @@ def test_mixture_validation():
         GaussianMixture(np.array([1.0]), np.zeros(2), np.eye(2))
     with pytest.raises(InvalidParams):
         GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("weights, mean, cov", [
+    ([math.nan, 0.5], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ([0.5, 0.5], [math.nan, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ([0.5, 0.5], [0.0, 0.0], [[1.0, 0.0], [0.0, math.inf]]),
+    ([0.5, 0.5], [0.0, -math.inf], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["nan_weight", "nan_mean", "inf_cov", "inf_mean"])
+def test_non_finite_mixture_parameters_are_refused(tmp_path, weights, mean, cov):
+    # refused before the symmetry test and the Cholesky factorization, which
+    # would warn on inf - inf or factor NaN silently
+    means = np.array([mean, [1.0, 0.0]])
+    covs = np.array([cov, np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParams, match="must be finite"):
+            GaussianMixture(np.array(weights), means, covs)
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps({"d": 2, "components": [
+            {"weight": w, "mean": m.tolist(), "cov": c.tolist()}
+            for w, m, c in zip(weights, means, covs)]}))
+        with pytest.raises(TargetLoadFailed, match="must be finite"):
+            load_target(str(path))
+
+
+def test_factor_matches_a_per_component_scipy_reference():
+    # the one batched factorization against scipy, one component at a time
+    rng = np.random.default_rng(41)
+    for d in range(1, 7):
+        for K in range(1, 5):
+            gm = random_mixture(rng, d, K)
+            chols, precisions, log_coefs = factor(gm.weights, gm.covariances)
+            for k in range(K):
+                ref_chol = cholesky(gm.covariances[k], lower=True)
+                ref_prec = inv(gm.covariances[k])
+                ref_log_coef = math.log(gm.weights[k]) - 0.5 * (
+                    d * math.log(2 * math.pi) + 2.0 * np.sum(np.log(np.diag(ref_chol))))
+                for got, ref in ((chols[k], ref_chol), (precisions[k], ref_prec)):
+                    np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                               atol=1e-12 * np.max(np.abs(ref)))
+                assert log_coefs[k] == pytest.approx(ref_log_coef, rel=1e-12)
+            # the mixture caches these very arrays, and any leading axes factor alike
+            assert gm._precisions.tobytes() == precisions.tobytes()
+            stacked = factor(gm.weights, np.stack([gm.covariances] * 3))
+            for got, one in zip(stacked, (chols, precisions, log_coefs)):
+                assert got.shape == (3, *one.shape) and np.array_equal(got[1], one)
+    with pytest.raises(InvalidParams, match="positive-definite"):
+        factor(np.ones(2), np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
 
 
 def test_second_moment_bound():
@@ -123,37 +177,20 @@ def test_forward_marginal_limits():
     assert np.allclose(law.means, 0.0, atol=1e-4)
 
 
-def test_log_density_standard_normal_peak():
-    target = standard_normal_target(1)
-    value = log_density(target, np.zeros((1, 1)))[0]
-    assert abs(value - (-0.5 * math.log(2 * math.pi))) < 1e-12
-    assert abs(value - (-0.9189385)) < 5e-8
-
-
-def test_log_density_symmetry():
-    mu = np.array([1.0, -0.5])
-    cov = np.array([[1.0, 0.3], [0.3, 0.8]])
-    gm = GaussianMixture(np.array([0.5, 0.5]), np.stack([-mu, mu]),
-                         np.stack([cov, cov]))
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = rng.standard_normal((1, 2)) * 2
-        assert log_density(gm, x)[0] == pytest.approx(log_density(gm, -x)[0], abs=1e-12)
-
-
 def test_log_density_matches_quadrature_1d():
     from scipy.integrate import quad
 
     rng = np.random.default_rng(11)
     gm = random_mixture(rng, d=1, K=3)
-    total, _ = quad(lambda u: math.exp(log_density(gm, np.array([[u]]))[0]),
-                    -np.inf, np.inf)
+    def density(u):
+        return math.exp(reference_log_density(gm, np.array([[u]]))[0])
+
+    total, _ = quad(density, -np.inf, np.inf)
     assert abs(total - 1.0) < 1e-8
-    # adaptive quadrature of exp(log_density) reproduces the closed-form CDF
+    # adaptive quadrature of the reference density reproduces the closed-form CDF
     for _ in range(5):
         q = float(rng.uniform(-3, 3))
-        integral, _ = quad(lambda u: math.exp(log_density(gm, np.array([[u]]))[0]),
-                           -np.inf, q)
+        integral, _ = quad(density, -np.inf, q)
         assert abs(integral - projected_cdf(gm, np.array([1.0]), np.array([q]))[0]) < 1e-8
 
 
@@ -176,8 +213,8 @@ def finite_difference_score(law, x, h=1e-5):
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
-        grad[j] = (log_density(law, (x + e)[None])[0]
-                   - log_density(law, (x - e)[None])[0]) / (2 * h)
+        grad[j] = (reference_log_density(law, (x + e)[None])[0]
+                   - reference_log_density(law, (x - e)[None])[0]) / (2 * h)
     return grad
 
 
@@ -199,8 +236,8 @@ def test_score_matches_finite_differences():
        seed=st.integers(0, 2**32 - 1))
 @example(d=3, K=1, t=0, seed=1)  # one component on a correlated target
 def test_score_is_the_gradient_of_log_density(d, K, t, seed):
-    # finite differences of log_density check the score against independent
-    # code; ScoreModel's single-Gaussian score has these bits (test_score_oracle)
+    # finite differences of the reference log-density check the score against
+    # independent code; ScoreModel's single-Gaussian score has these bits (test_score_oracle)
     rng = np.random.default_rng(seed)
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, d=d))
     law = forward_marginal(random_mixture(rng, d, K), s, t)
@@ -249,7 +286,7 @@ def test_score_returns_a_fresh_writable_array(K):
     model = ScoreModel("offset", gm, s, 0.25)
     once = model.evaluate(5, x)
     np.testing.assert_array_equal(model.evaluate(5, x), once)
-    exact = score(model.marginal(5), x)
+    exact = score(forward_marginal(gm, s, 5), x)
     np.testing.assert_array_equal(once[:, 1], exact[:, 1])
     np.testing.assert_array_equal(once[:, 0], exact[:, 0] + 0.25)
 
@@ -263,28 +300,6 @@ def test_score_batch_consistent_with_single():
         assert np.allclose(batch[i], score(gm, xs[i:i + 1])[0])
 
 
-def reference_terms(gm, x):
-    """Per-component loop: log w_k + log N(x; m_k, C_k), shape (n, K), and
-    the component gradients -C_k^-1 (x - m_k), shape (K, n, d)."""
-    log_pdfs, grads = [], []
-    for w, m, c in zip(gm.weights, gm.means, gm.covariances):
-        factor = cho_factor(c, lower=True)
-        diff = x - m
-        sol = cho_solve(factor, diff.T).T
-        log_det = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        log_pdfs.append(math.log(w) - 0.5 * (gm.d * math.log(2 * math.pi) + log_det)
-                        - 0.5 * np.sum(diff * sol, axis=1))
-        grads.append(-sol)
-    return np.stack(log_pdfs, axis=1), np.stack(grads)
-
-
-def reference_score_and_log_density(gm, x):
-    log_pdfs, grads = reference_terms(gm, x)
-    log_total = logsumexp(log_pdfs, axis=1, keepdims=True)
-    resp = np.exp(log_pdfs - log_total)
-    return np.einsum("nk,knd->nd", resp, grads), log_total[:, 0]
-
-
 def test_batched_kernel_matches_per_component_reference():
     rng = np.random.default_rng(31)
     for d in range(1, 5):
@@ -293,12 +308,10 @@ def test_batched_kernel_matches_per_component_reference():
                 gm = random_mixture(rng, d, K)
                 # points out to about 3 sigma around the mixture
                 x = gm.means[rng.integers(0, K, 64)] + rng.uniform(-3, 3, (64, d))
-                ref_score, ref_logp = reference_score_and_log_density(gm, x)
+                ref_score, _ = reference_score_and_log_density(gm, x)
                 scale = np.max(np.abs(ref_score))
                 np.testing.assert_allclose(score(gm, x), ref_score,
                                            rtol=1e-12, atol=1e-12 * scale)
-                np.testing.assert_allclose(log_density(gm, x), ref_logp, rtol=1e-12,
-                                           atol=1e-12 * np.max(np.abs(ref_logp)))
 
 
 def test_score_far_tail_single_surviving_component():
@@ -315,9 +328,6 @@ def test_score_far_tail_single_surviving_component():
     value = score(gm, x)
     assert np.all(np.isfinite(value))
     np.testing.assert_allclose(value, grads[top], rtol=1e-12)
-    assert math.isfinite(float(log_density(gm, x)[0]))
-    with np.errstate(over="ignore", divide="ignore"):  # every Mahalanobis term overflows
-        assert log_density(gm, np.array([[1e160, 0.0]]))[0] == -math.inf
 
 
 def test_sampling_deterministic_and_moment_sane():
