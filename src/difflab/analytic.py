@@ -10,8 +10,8 @@ the convergence-rate checks.
 
 The horizon is walked in blocks of ``_PROBE_STEPS`` steps: one
 ``samplers.step`` call, given one step index per row, reads off all of a
-block's maps on 3d + 1 probe rows per step, and a pairwise tree composes
-them into one map that is folded into the running mean and covariance.
+block's maps on at most 3d + 1 probe rows per step, and a pairwise tree
+composes them into one map that is folded into the running mean and covariance.
 
 Every law here is a one-component ``GaussianMixture``.  Closed-form
 divergences between Gaussian laws live here too, with the total-variation
@@ -60,17 +60,21 @@ def target_law(target: GaussianMixture) -> GaussianMixture:
 def _step_maps(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
     """The affine maps of the steps in ``steps``, stacked as (A, B, D, b).
 
-    One ``samplers.step`` call runs each step on its own 3d + 1 probe rows of
-    (y, z_mid, z): the zero row gives b, and each unit row minus it gives one
-    column of [A B D].  The no-clip steps are affine, so this is exact.
+    One ``samplers.step`` call runs each step on probe rows of (y, z_mid, z)
+    for the inputs it reads (y and the draws in ``samplers.READS``): the zero
+    row gives b, each unit row minus it one column of [A B D], and an unread
+    input's column is 0.  The no-clip steps are affine, so this is exact.
     """
     d, m = s.d, len(steps)
-    rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)]), (m, 1))
-    t = np.repeat(steps, 3 * d + 1)
+    read = np.flatnonzero(np.repeat([True, *(j in samplers.READS[kind] for j in (0, 1))], d))
+    rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)[read]]), (m, 1))
+    t = np.repeat(steps, len(read) + 1)
     out, _ = samplers.step(kind, s, model, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
-    out = out.reshape(m, 3 * d + 1, d)
-    cols = np.swapaxes(out[:, 1:] - out[:, :1], 1, 2)
-    return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], out[:, 0]
+    out = out.reshape(m, len(read) + 1, d)
+    full = np.repeat(out[:, :1], 3 * d + 1, axis=1)  # (m, 3d + 1, d), every input unread
+    full[:, 1 + read] = out[:, 1:]
+    cols = np.swapaxes(full[:, 1:] - full[:, :1], 1, 2)
+    return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], full[:, 0]
 
 
 def _compose(A: np.ndarray, b: np.ndarray, Q: np.ndarray):

@@ -182,10 +182,11 @@ def _wants_mc(cfg: ExperimentConfig, target: GaussianMixture, mode: str) -> bool
 
 
 def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
-                  kind: str, T: int, mode: str, level: float) -> dict:
+                  kind: str, T: int, mode: str, level: float, schedules: dict) -> dict:
     """The metric fields of one cell's row; raises on any cell failure."""
-    params = ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip, d=target.d)
-    schedule = build_schedule(params)
+    if T not in schedules:  # the first cell at a horizon builds the sweep's schedule
+        schedules[T] = build_schedule(ScheduleParams(T, cfg.c0, cfg.c1, cfg.c_clip, target.d))
+    schedule = schedules[T]
     model = ScoreModel(mode, target, schedule, level)
     eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     out = {"eps_score": model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score}
@@ -206,7 +207,7 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
 
 
 def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
-              kind: str, T: int, mode: str, level: float) -> dict:
+              kind: str, T: int, mode: str, level: float, schedules: dict) -> dict:
     """One grid cell as a CSV row; any DiffLabError fails the cell alone,
     leaving its metric fields empty."""
     start = time.perf_counter()
@@ -214,7 +215,7 @@ def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
     row = {**dict.fromkeys(_FIELDS), "sampler": kind, "T": T, "d": target.d,
            "seed": seed, "error": None}
     try:
-        row.update(_cell_metrics(target, cfg, seed, kind, T, mode, level))
+        row.update(_cell_metrics(target, cfg, seed, kind, T, mode, level, schedules))
     except DiffLabError as exc:
         row["error"] = str(exc)
     row["wallclock_ms"] = (time.perf_counter() - start) * 1e3
@@ -247,7 +248,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> SweepReport:
         raise ConfigInvalid(f"Monte Carlo cells need n >= {metrics._MIN_SAMPLES}, "
                             f"got {cfg.n}")
 
-    cells = [(target, cfg, i, kind, T, *score) for i, (kind, T, score) in
+    schedules: dict = {}  # T -> schedule for serial cells; a pooled cell builds its own
+    cells = [(target, cfg, i, kind, T, *score, schedules) for i, (kind, T, score) in
              enumerate(itertools.product(cfg.samplers, cfg.T_grid, score_cells))]
     rows = []
 

@@ -25,7 +25,9 @@ from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule, _as_batch, clip
 from .score_oracle import ScoreModel
 
-KINDS = ("accelerated", "accelerated_noclip", "ddpm", "ode")
+# The draws each kind's step reads: 0 is z_mid (words [0, d)), 1 is z ([d, 2d)).
+READS = {"accelerated": (0, 1), "accelerated_noclip": (0, 1), "ddpm": (1,), "ode": ()}
+KINDS = tuple(READS)
 
 # Rows per work unit whatever T, and the noise block a chunk refills; neither
 # changes an output.  A block of a few MiB raises glibc's mmap threshold, so
@@ -151,18 +153,18 @@ def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
     """Rows lo..hi-1 from Y_T (words [0, d) of step 0) down to t = 1.
 
     Step t reads z_mid from words [0, d) and z from [d, 2d), drawn with its
-    neighbours into one reused block of about ``_NOISE_BYTES``.  Only words
-    a kind reads are made normal: ``ddpm`` reads z alone, and ``ode``, which
-    reads none, is handed the zeroed block.
+    neighbours into one reused block of about ``_NOISE_BYTES``.  Only the
+    draws in ``READS[kind]`` are made normal; a kind that reads none, as
+    ``ode``, is handed the zeroed block.
     """
-    d, p, ts = s.d, _row_words(s.d), range(s.T, 1, -1)
+    d, p, ts, reads = s.d, _row_words(s.d), range(s.T, 1, -1), READS[kind]
     y = _draws(seed, [0], lo, np.empty((1, hi - lo, p)), slice(0, d))[0, :, :d]
     run = min(len(ts), max(1, _NOISE_BYTES // (8 * (hi - lo) * p)))
     block = np.zeros((run, hi - lo, p))
-    words = slice(d if kind == "ddpm" else 0, 2 * d)
+    words = slice(reads[0] * d, (reads[-1] + 1) * d) if reads else None
     clip_count = 0
     for r in range(0, len(ts), run):
-        u = block if kind == "ode" else _draws(seed, ts[r:r + run], lo, block, words)
+        u = _draws(seed, ts[r:r + run], lo, block, words) if reads else block
         for k, t in enumerate(ts[r:r + run]):
             y, clipped = step(kind, s, model, t, y, u[k, :, :d], u[k, :, d:2 * d])
             clip_count += int(np.count_nonzero(clipped))

@@ -78,7 +78,7 @@ class ScheduleParams:
         return self.c1 * math.log(self.T) / self.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Immutable per-step coefficient arrays for a fixed horizon.
 
@@ -86,7 +86,7 @@ class Schedule:
     ``s.alpha[t]`` for an int t or an int array t.  ``alpha_bar[0] = 1`` is
     the data; entries a step does not define are NaN: ``alpha`` at t = 0,
     ``sigma`` and ``clip_radius`` at t = 0 and 1.  ``_check_t`` is the one
-    rule for a step index.
+    rule for a step index.  A schedule equals and hashes as itself alone.
     """
 
     params: ScheduleParams

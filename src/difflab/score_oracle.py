@@ -17,6 +17,7 @@ The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,9 @@ from .schedule import Schedule, _as_batch, is_real
 from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
+
+# schedule -> {id(target): (target, stacks)}, shared by models; gone with the schedule
+_SHARED_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,18 @@ class ScoreModel:
     def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Means (T+1, K, d), precisions (T+1, K, d, d) and, if K > 1, log-coefficients
         (T+1, K) of the marginals t = 0..T, with the bits of ``forward_marginal``."""
+        shared = _SHARED_STACKS.setdefault(self.schedule, {})
+        if id(self.target) in shared:  # an entry keeps its target, so the id is its own
+            return shared[id(self.target)][1]
         abar, d = self.schedule.alpha_bar, self.target.d
         _, precisions, log_coefs = targets.factor(
             self.target.weights, abar[:, None, None, None] * self.target.covariances
             + (1.0 - abar)[:, None, None, None] * np.eye(d))
         means = np.sqrt(abar)[:, None, None] * self.target.means
         # the K = 1 closed form needs no normalizer: its table is not kept
-        return means, precisions, log_coefs if self.target.K > 1 else None
+        shared[id(self.target)] = self.target, (means, precisions,
+                                                log_coefs if self.target.K > 1 else None)
+        return shared[id(self.target)][1]
 
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
         """grad log p_t at the rows of a batch x (n, d), as a new array; on a
@@ -87,7 +96,8 @@ class ScoreModel:
         if log_coefs is not None:
             return targets.mixture_score(means[t], precisions[t], log_coefs[t], x)
         if isinstance(t, np.ndarray):
-            return -np.matmul((x - means[t, 0])[:, None], precisions[t, 0])[:, 0]
+            return -np.matmul((x - np.take(means[:, 0], t, axis=0))[:, None],
+                              np.take(precisions[:, 0], t, axis=0))[:, 0]
         return -np.matmul(x - means[t, 0], precisions[t, 0])
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:

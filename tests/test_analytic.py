@@ -33,6 +33,18 @@ def step_map(s, target, t, kind):
     return A[0], B[0], D[0], b[0]
 
 
+def full_probe(s, model, kind, steps):
+    """(A, B, D, b) of the steps read off on all 3d + 1 probe rows per step,
+    whether or not the step reads the input a row probes."""
+    d, m = s.d, len(steps)
+    rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)]), (m, 1))
+    out, _ = samplers.step(kind, s, model, np.repeat(steps, 3 * d + 1),
+                           rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
+    out = out.reshape(m, 3 * d + 1, d)
+    cols = np.swapaxes(out[:, 1:] - out[:, :1], 1, 2)
+    return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], out[:, 0]
+
+
 def random_target(rng, d):
     root = rng.standard_normal((d, d))
     return gaussian_target(rng.standard_normal(d), root @ root.T + 0.5 * np.eye(d))
@@ -201,10 +213,10 @@ def test_propagate_matches_sequential_fold(kind, d):
 
 
 def test_propagate_probe_rows_bounded_independently_of_T(monkeypatch):
+    # a step is probed on the zero row and one row per input it reads
     d, T = 2, 16384
     target = random_target(np.random.default_rng(3), d)
     s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
-    rows = []
     original = samplers.step
 
     def bounded(kind, s, model, t, y, z_mid, z):
@@ -213,9 +225,28 @@ def test_propagate_probe_rows_bounded_independently_of_T(monkeypatch):
         return original(kind, s, model, t, y, z_mid, z)
 
     monkeypatch.setattr(samplers, "step", bounded)
-    propagate(s, target, "accelerated_noclip")
-    assert sum(rows) == (T - 1) * (3 * d + 1)
-    assert len(rows) == -(-(T - 1) // _PROBE_STEPS)
+    for kind, per_step in (("accelerated_noclip", 3 * d + 1), ("ddpm", 2 * d + 1),
+                           ("ode", d + 1)):
+        rows = []
+        propagate(s, target, kind)
+        assert sum(rows) == (T - 1) * per_step
+        assert len(rows) == -(-(T - 1) // _PROBE_STEPS)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_reads_table_matches_the_step(kind, d):
+    # probing only the draws in samplers.READS gives the maps of probing every
+    # input bit for bit, and a draw is in the table iff the step reads it
+    target = random_target(np.random.default_rng(80 + d), d)
+    s = build_schedule(ScheduleParams(T=40, c0=2.0, c1=2.5, d=d))
+    model = ScoreModel("exact", target, s)
+    steps = np.arange(s.T, 1, -1)
+    full = full_probe(s, model, kind, steps)
+    for probed, every in zip(_step_maps(s, model, kind, steps), full):
+        assert np.array_equal(probed, every)
+    for j, draw in enumerate(full[1:3]):  # B (z_mid), D (z)
+        assert np.any(draw) == (j in samplers.READS[kind])
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflab import metrics
+from difflab import harness, metrics, score_oracle, targets
 from difflab.cli import main
 from difflab.errors import ConfigInvalid, DiffLabError, InvalidParams
 from difflab.harness import CSV_HEADER, ExperimentConfig, fit_slope, run_sweep
@@ -267,19 +267,24 @@ def test_any_difflab_error_fails_its_cell_alone(tmp_path, monkeypatch):
 def test_unbuildable_horizon_fails_its_cell_alone(tmp_path, capsys, huge_T):
     # no schedule of 1e20 steps fits in memory, and 1e300**10 overflows a
     # float: the cell fails alone, with no traceback and the T = 16 row complete
+    # at each sampler: a horizon that failed to build is not shared, so each
+    # of its cells tries, fails and is reported on its own
     out = tmp_path / "sweep.csv"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"target": write_target(tmp_path), "T_grid": [16, huge_T],
-                                    "samplers": ["ode"], "n": 2000, "out": str(out)}))
+                                    "samplers": ["ode", "ddpm"], "n": 2000, "out": str(out)}))
     assert main(["sweep", "--config", str(cfg_path), "--jobs", "1"]) == 0
     assert capsys.readouterr().err == ""
     data, comments = read_rows(out)
-    assert len(data) == 2
-    assert "" not in data[0].split(",")[:6]
-    assert data[1].split(",")[1] == str(int(huge_T))
-    assert data[1].split(",")[3:9] == [""] * 6
-    [failed] = comments
-    assert failed.startswith(f"# cell_failed,ode,{int(huge_T)},no memory for a schedule")
+    assert len(data) == 4
+    for row in data[0::2]:
+        assert row.split(",")[1] == "16" and "" not in row.split(",")[:6]
+    for row in data[1::2]:
+        assert row.split(",")[1] == str(int(huge_T))
+        assert row.split(",")[3:9] == [""] * 6
+    assert len(comments) == 2
+    for kind, failed in zip(("ode", "ddpm"), comments):
+        assert failed.startswith(f"# cell_failed,{kind},{int(huge_T)},no memory for a schedule")
 
 
 def test_single_cell_sweep_skips_slopes(tmp_path):
@@ -318,6 +323,54 @@ def test_sweep_parallel_cells_identical(tmp_path):
     data_a, _ = read_rows(cfg_a.out)
     data_b, _ = read_rows(cfg_b.out)
     assert strip(data_a) == strip(data_b)
+
+
+@pytest.mark.parametrize("score,mc,cells", [({"mode": "exact"}, True, 6),
+                                            ({"mode": "offset", "delta": [0.0, 0.2]}, None, 12)],
+                         ids=["exact", "offset"])
+def test_sweep_rows_do_not_depend_on_jobs(tmp_path, score, mc, cells):
+    # serial cells share each horizon's schedule and score stacks, pooled
+    # cells build their own: the rows and slopes agree but for wallclock_ms
+    files = []
+    for jobs in (1, 2):
+        cfg = make_config(tmp_path, target=write_target(tmp_path, d=2), T_grid=[8, 16, 32],
+                          samplers=["accelerated", "ddpm"], score=score, mc=mc, n=1000,
+                          out=str(tmp_path / f"jobs{jobs}.csv"))
+        run_sweep(cfg, jobs=jobs)
+        data, comments = read_rows(cfg.out)
+        assert len(data) == cells
+        assert not any(c.startswith("# cell_failed") for c in comments)
+        files.append(([",".join(r.split(",")[:-1]) for r in data], comments))
+    assert files[0] == files[1]
+
+
+def test_sweep_builds_each_horizon_once(tmp_path, monkeypatch):
+    # serial cells share one schedule per horizon and, through it, one
+    # factorisation of the stacked marginals; neither outlives the sweep
+    builds, factors = [], []
+    real_build, real_factor = harness.build_schedule, targets.factor
+
+    def counting_build(params):
+        builds.append(params.T)
+        return real_build(params)
+
+    def counting_factor(weights, covariances):
+        if np.ndim(covariances) == 4:  # (T + 1, K, d, d): one stack per horizon
+            factors.append(len(covariances) - 1)
+        return real_factor(weights, covariances)
+
+    monkeypatch.setattr(harness, "build_schedule", counting_build)
+    monkeypatch.setattr(targets, "factor", counting_factor)
+    cfg = make_config(tmp_path, target=write_target(tmp_path, d=2), T_grid=[8, 16, 32],
+                      samplers=["accelerated_noclip", "ddpm", "ode"])
+    live = len(score_oracle._SHARED_STACKS)
+    for _ in range(2):  # a second sweep rebuilds: nothing is kept across sweeps
+        builds.clear()
+        factors.clear()
+        report = run_sweep(cfg)
+        assert all(row["kl_analytic"] is not None for row in report.rows)
+        assert builds == factors == [8, 16, 32]
+        assert len(score_oracle._SHARED_STACKS) == live
 
 
 def test_sweep_pool_capped_at_the_cells(tmp_path, pool_sizes):
