@@ -130,10 +130,9 @@ def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:
     return 0.5 * (trace + maha - p.d + logdet_q - float(logdet_p))
 
 
-def gaussian_tv_bound(p: GaussianMixture, q: GaussianMixture) -> float:
-    """Total-variation surrogate min(1, sqrt(KL(p || q) / 2))."""
-    kl = max(gaussian_kl(p, q), 0.0)
-    return min(1.0, math.sqrt(kl / 2.0))
+def tv_bound(kl: float) -> float:
+    """Total-variation surrogate min(1, sqrt(KL / 2)) of a computed KL."""
+    return min(1.0, math.sqrt(max(kl, 0.0) / 2.0))
 
 
 # --------------------------------------------------------------------------

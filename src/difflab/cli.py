@@ -50,7 +50,7 @@ def cmd_analytic(args) -> int:
     law_1 = targets.forward_marginal(target, s, 1)
     p_y1 = analytic.propagate(s, target, analytic.affine_kind(args.sampler))
     kl = analytic.gaussian_kl(law_1, p_y1)
-    tv = analytic.gaussian_tv_bound(law_1, p_y1)
+    tv = analytic.tv_bound(kl)
     with open(args.out, "w") as fh:
         fh.write("sampler,T,d,kl,tv_bound\n")
         fh.write(f"{args.sampler},{args.T},{target.d},{format_value(kl)},{format_value(tv)}\n")

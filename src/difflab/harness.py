@@ -195,7 +195,7 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
     if target.K == 1 and mode == "exact":
         p_y1 = analytic.propagate(schedule, target, analytic.affine_kind(kind))
         out["kl_analytic"] = analytic.gaussian_kl(law_1, p_y1)
-        out["tv_bound"] = analytic.gaussian_tv_bound(law_1, p_y1)
+        out["tv_bound"] = analytic.tv_bound(out["kl_analytic"])
 
     if _wants_mc(cfg, target, mode):
         batch = run_batch(kind, schedule, model, cfg.n, seed)

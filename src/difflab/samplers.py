@@ -6,7 +6,9 @@ arguments, so that single steps can be hand-checked on one-row batches;
 ``run_batch`` owns stream management.  Each step t of a batch draws from
 its own counter-based Philox stream, keyed by (seed, t), and trajectory i
 reads a fixed, disjoint slice of that stream, so results are identical
-bit for bit regardless of chunking or worker count.
+bit for bit regardless of chunking or worker count.  Within a chunk one
+helper thread draws the next block of steps' noise while the caller steps
+through the current one; no thread outlives its chunk.
 
 Trajectories start at Y_T ~ N(0, I), apply the chosen step for t = T..2,
 and stop at t = 1 (no step is defined at t = 1, where the step-noise level
@@ -15,7 +17,7 @@ and clip radius do not exist).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,9 @@ from .score_oracle import ScoreModel
 READS = {"accelerated": (0, 1), "accelerated_noclip": (0, 1), "ddpm": (1,), "ode": ()}
 KINDS = tuple(READS)
 
-# Rows per work unit whatever T, and the noise block a chunk refills; neither
-# changes an output.  A block of a few MiB raises glibc's mmap threshold, so
-# the per-step score temporaries stay on the heap.
+# Rows per work unit whatever T, and the two noise half-blocks a chunk refills
+# together; neither changes an output.  One allocation of a few MiB raises
+# glibc's mmap threshold, so the per-step score temporaries stay on the heap.
 _CHUNK_ROWS = 8192
 _NOISE_BYTES = 4 * 2**20
 
@@ -153,21 +155,32 @@ def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
     """Rows lo..hi-1 from Y_T (words [0, d) of step 0) down to t = 1.
 
     Step t reads z_mid from words [0, d) and z from [d, 2d), drawn with its
-    neighbours into one reused block of about ``_NOISE_BYTES``.  Only the
-    draws in ``READS[kind]`` are made normal; a kind that reads none, as
-    ``ode``, is handed the zeroed block.
+    neighbours into one of two blocks that together fill ``_NOISE_BYTES``.
+    A helper thread draws the next block into one while the caller steps
+    through the other, and the pool closes with the chunk, so no thread
+    outlives it, whether it returns or raises.  Only the draws in
+    ``READS[kind]`` are made normal; a kind that reads none, as ``ode``, is
+    handed the zeroed block.
     """
     d, p, ts, reads = s.d, _row_words(s.d), range(s.T, 1, -1), READS[kind]
-    y = _draws(seed, [0], lo, np.empty((1, hi - lo, p)), slice(0, d))[0, :, :d]
-    run = min(len(ts), max(1, _NOISE_BYTES // (8 * (hi - lo) * p)))
-    block = np.zeros((run, hi - lo, p))
+    run = min(len(ts), max(1, _NOISE_BYTES // (16 * (hi - lo) * p)))
+    blocks = np.zeros((2, run, hi - lo, p))
     words = slice(reads[0] * d, (reads[-1] + 1) * d) if reads else None
+
+    def fill(b, r):
+        return _draws(seed, ts[r:r + run], lo, blocks[b], words) if reads else blocks[b]
+
     clip_count = 0
-    for r in range(0, len(ts), run):
-        u = _draws(seed, ts[r:r + run], lo, block, words) if reads else block
-        for k, t in enumerate(ts[r:r + run]):
-            y, clipped = step(kind, s, model, t, y, u[k, :, :d], u[k, :, d:2 * d])
-            clip_count += int(np.count_nonzero(clipped))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(fill, 0, 0)
+        y = _draws(seed, [0], lo, np.empty((1, hi - lo, p)), slice(0, d))[0, :, :d]
+        for b, r in enumerate(range(0, len(ts), run)):
+            u = ahead.result()
+            if r + run < len(ts):
+                ahead = helper.submit(fill, 1 - b % 2, r + run)
+            for k, t in enumerate(ts[r:r + run]):
+                y, clipped = step(kind, s, model, t, y, u[k, :, :d], u[k, :, d:2 * d])
+                clip_count += int(np.count_nonzero(clipped))
     return y, clip_count
 
 

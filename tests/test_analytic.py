@@ -9,10 +9,10 @@ from difflab.analytic import (
     _PROBE_STEPS,
     _step_maps,
     gaussian_kl,
-    gaussian_tv_bound,
     propagate,
     scalar_propagate,
     target_law,
+    tv_bound,
 )
 from difflab.errors import InvalidParams, UnsupportedKind
 from difflab.samplers import accelerated_step, run_batch
@@ -323,12 +323,12 @@ def test_singular_covariance_rejected_when_built():
 
 def test_tv_bound_values():
     q = gaussian_target(np.zeros(1), np.eye(1))
-    assert gaussian_tv_bound(q, q) == 0.0
+    assert tv_bound(gaussian_kl(q, q)) == 0.0
     # KL(N(m,1) || N(0,1)) = m^2 / 2: pick m for KL = 0.08 and KL = 2
     p = gaussian_target(np.array([0.4]), np.eye(1))
-    assert gaussian_tv_bound(p, q) == pytest.approx(0.2, rel=1e-12)
+    assert tv_bound(gaussian_kl(p, q)) == pytest.approx(0.2, rel=1e-12)
     p = gaussian_target(np.array([2.0]), np.eye(1))
-    assert gaussian_tv_bound(p, q) == 1.0
+    assert tv_bound(gaussian_kl(p, q)) == 1.0
 
 
 @pytest.mark.parametrize("kind", ["accelerated_noclip", "ddpm", "ode"])

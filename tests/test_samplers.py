@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -357,29 +358,86 @@ def test_run_batch_deterministic_across_jobs():
 
 def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # a row's draws depend only on (seed, step, row), so the clip decisions
-    # and the outputs are the same for any chunking of the batch, and for
-    # noise blocks that hold any number of steps
+    # and the outputs of every kind are the same for any chunking of the
+    # batch, and for noise blocks that hold any number of steps
     target = load_target(str(CONFIGS / "mixture_2d_three.json"))
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
     model = ScoreModel("exact", target, s)
-    n = 7000  # one default chunk, holding all 15 steps' noise in one block
-    default = run_batch("accelerated", s, model, n, seed=21)
-    assert default.clip_activations > 0
-    # chunks of 997 rows, the last one short; then chunks of 3000 rows whose
-    # blocks hold 4 steps: runs of 4, 4, 4 and 3 steps
-    for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, 4 * 3000 * 8 * 4)):
+    n = 7000  # one default chunk, its 15 steps' noise in blocks of 9 and 6
+    default = {kind: run_batch(kind, s, model, n, seed=21) for kind in KINDS}
+    assert [kind for kind in KINDS if default[kind].clip_activations > 0] == ["accelerated"]
+    # chunks of 997 rows, the last one short, each with all 15 steps in one
+    # block; then chunks of 3000 rows whose two half-blocks hold 4 steps each:
+    # runs of 4, 4, 4 and 3 steps; then one step per block, so the helper
+    # draws into one half while the caller reads the other at every step
+    for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, 2 * 4 * 3000 * 8 * 4),
+                              (3000, 2 * 3000 * 8 * 4)):
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(samplers, "_NOISE_BYTES", noise_bytes)
-        chunked = run_batch("accelerated", s, model, n, seed=21)
-        assert chunked.clip_activations == default.clip_activations
-        assert np.array_equal(chunked.y1, default.y1)
+        for kind in KINDS:
+            chunked = run_batch(kind, s, model, n, seed=21)
+            assert chunked.clip_activations == default[kind].clip_activations
+            assert np.array_equal(chunked.y1, default[kind].y1)
+
+
+def test_block_draws_run_off_the_callers_thread(monkeypatch):
+    # the caller draws Y_T while a helper thread draws every block of steps,
+    # each into the half-block the caller is not stepping through
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=2))
+    model = ScoreModel("exact", standard_normal_target(2), s)
+    threads = []
+    real_draws = samplers._draws
+
+    def recording_draws(seed, steps, lo, out, words):
+        threads.append((list(steps), threading.get_ident(), out.ctypes.data))
+        return real_draws(seed, steps, lo, out, words)
+
+    monkeypatch.setattr(samplers, "_draws", recording_draws)
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", 2 * 4 * 1000 * 8 * 4)
+    run_batch("accelerated", s, model, 1000, seed=3)
+    first = [call for call in threads if call[0] == [0]]
+    blocks = [call for call in threads if call[0] != [0]]
+    assert len(first) == 1 and first[0][1] == threading.get_ident()
+    assert all(ident != threading.get_ident() for _, ident, _ in blocks)
+    assert [steps for steps, _, _ in blocks] == [
+        [16, 15, 14, 13], [12, 11, 10, 9], [8, 7, 6, 5], [4, 3, 2]]
+    halves = [address for _, _, address in blocks]
+    assert halves[0] == halves[2] != halves[1] == halves[3]
+
+
+def test_no_thread_outlives_a_chunk(monkeypatch):
+    # the helper is gone when run_batch returns, and when a step raises
+    # mid-chunk, whose own exception reaches the caller
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=2))
+    model = ScoreModel("exact", standard_normal_target(2), s)
+    before = threading.active_count()
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", 2 * 1000 * 8 * 4)  # one step per block
+    for kind in KINDS:
+        run_batch(kind, s, model, 2500, seed=5)
+        assert threading.active_count() == before
+
+    class StepFailed(Exception):
+        pass
+
+    real_step = samplers.step
+
+    def failing_step(kind, s, model, t, y, z_mid, z):
+        if t == 9:
+            raise StepFailed(t)
+        return real_step(kind, s, model, t, y, z_mid, z)
+
+    monkeypatch.setattr(samplers, "step", failing_step)
+    for kind in KINDS:
+        with pytest.raises(StepFailed):
+            run_batch(kind, s, model, 2500, seed=5)
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("T, n", [(64, 32768), (1024, 1024)])
 def test_sampling_memory_does_not_grow_with_T(T, n):
     # a chunk holds a fixed number of rows and draws its noise run by run
-    # into one block of _NOISE_BYTES, so the peak is that block and a few
-    # MiB of per-step arrays, at any horizon
+    # into two half-blocks that together fill _NOISE_BYTES, so the peak is
+    # those blocks and a few MiB of per-step arrays, at any horizon
     s = build_schedule(ScheduleParams(T=T, d=2))
     model = ScoreModel("exact", standard_normal_target(2), s)
     tracemalloc.start()
