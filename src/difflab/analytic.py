@@ -67,7 +67,8 @@ def _step_maps(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
     """
     d, m = s.d, len(steps)
     read = np.flatnonzero(np.repeat([True, *(j in samplers.READS[kind] for j in (0, 1))], d))
-    rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)[read]]), (m, 1))
+    # F-ordered, so y, z_mid and z are coordinate-major (rows, d) batches, as in a chunk
+    rows = np.asfortranarray(np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)[read]]), (m, 1)))
     t = np.repeat(steps, len(read) + 1)
     out, _ = samplers.step(kind, s, model, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
     out = out.reshape(m, len(read) + 1, d)

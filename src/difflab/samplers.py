@@ -6,9 +6,11 @@ arguments, so that single steps can be hand-checked on one-row batches;
 ``run_batch`` owns stream management.  Each step t of a batch draws from
 its own counter-based Philox stream, keyed by (seed, t), and trajectory i
 reads a fixed, disjoint slice of that stream, so results are identical
-bit for bit regardless of chunking or worker count.  Within a chunk one
-helper thread draws the next block of steps' noise while the caller steps
-through the current one; no thread outlives its chunk.
+bit for bit regardless of chunking or worker count.  A chunk keeps its
+points and draws coordinate-major, as F-ordered (rows, d) arrays.  While
+it steps through one run of steps, a helper thread draws the next run,
+and the chunk draws what the helper has not reached; no thread outlives
+its chunk.
 
 Trajectories start at Y_T ~ N(0, I), apply the chosen step for t = T..2,
 and stop at t = 1 (no step is defined at t = 1, where the step-noise level
@@ -17,6 +19,7 @@ and clip radius do not exist).
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,9 +34,10 @@ from .score_oracle import ScoreModel
 READS = {"accelerated": (0, 1), "accelerated_noclip": (0, 1), "ddpm": (1,), "ode": ()}
 KINDS = tuple(READS)
 
-# Rows per work unit whatever T, and the two noise half-blocks a chunk refills
-# together; neither changes an output.  One allocation of a few MiB raises
-# glibc's mmap threshold, so the per-step score temporaries stay on the heap.
+# Rows per work unit whatever T, and the block that holds a chunk's two noise
+# halves and its two threads' uniform scratches; neither changes an output.
+# One allocation of a few MiB raises glibc's mmap threshold, so the per-step
+# score temporaries stay on the heap.
 _CHUNK_ROWS = 8192
 _NOISE_BYTES = 4 * 2**20
 
@@ -135,51 +139,68 @@ def _row_words(d: int) -> int:
     return -(-2 * d // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
 
 
-def _draws(seed: int, steps, lo: int, out: np.ndarray, words: slice) -> np.ndarray:
-    """out[:len(steps)]: rows lo.. of each step t (t = 0 is Y_T), ``words`` of
-    each row made normal.  Step t draws from Philox(key=seed + (t << 64)) and
-    row i from its counter positions [i p, (i + 1) p), p = out.shape[2], so a
-    row's draws depend only on (seed, t, i), never on chunking."""
-    for k, t in enumerate(steps):
-        bitgen = np.random.Philox(key=seed + (t << 64))
-        bitgen.advance(lo * out.shape[2] // _WORDS_PER_BLOCK)
-        np.random.Generator(bitgen).random(out=out[k])
-    u = out[:len(steps), :, words]
-    np.maximum(u, 2.0**-54, out=u)
-    ndtri(u, out=u)
-    return out[:len(steps)]
+def _draws(seed: int, t: int, lo: int, scratch: np.ndarray, out: np.ndarray,
+           words: slice) -> np.ndarray:
+    """out, with ``words`` of rows lo.. of step t (t = 0 is Y_T) made normal and
+    written word-major: out[w, i] is word w of row lo + i.  Step t draws from
+    Philox(key=seed + (t << 64)) into ``scratch`` (rows, p), and row i from its
+    counter positions [i p, (i + 1) p), so a row's draws depend only on
+    (seed, t, i), never on chunking."""
+    bitgen = np.random.Philox(key=seed + (t << 64))
+    bitgen.advance(lo * scratch.shape[1] // _WORDS_PER_BLOCK)
+    np.random.Generator(bitgen).random(out=scratch)
+    np.maximum(scratch, 2.0**-54, out=scratch)
+    ndtri(scratch[:, words].T, out=out[words])
+    return out
 
 
 def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
                     lo: int, hi: int) -> tuple[np.ndarray, int]:
     """Rows lo..hi-1 from Y_T (words [0, d) of step 0) down to t = 1.
 
-    Step t reads z_mid from words [0, d) and z from [d, 2d), drawn with its
-    neighbours into one of two blocks that together fill ``_NOISE_BYTES``.
-    A helper thread draws the next block into one while the caller steps
-    through the other, and the pool closes with the chunk, so no thread
-    outlives it, whether it returns or raises.  Only the draws in
-    ``READS[kind]`` are made normal; a kind that reads none, as ``ode``, is
-    handed the zeroed block.
+    Every working array is coordinate-major: step t's draws are a (2d, rows)
+    slab, z_mid its words [0, d) and z its words [d, 2d), so z_mid, z and y
+    are F-contiguous (rows, d).  The slabs of a run of steps fill one of two
+    halves, and the halves and one (rows, p) uniform scratch per thread fill
+    ``_NOISE_BYTES``.  While the caller steps through one half, a helper
+    thread draws the next run into the other, popping steps from the front
+    of that run's queue; once through, the caller pops the rest from the
+    back, so each step is drawn once, by whichever thread is free.  The pool
+    closes with the chunk, so no thread outlives it, whether it returns or
+    raises.  Only the draws in ``READS[kind]`` are made; a kind that reads
+    none, as ``ode``, is handed zeroed slabs.
     """
-    d, p, ts, reads = s.d, _row_words(s.d), range(s.T, 1, -1), READS[kind]
-    run = min(len(ts), max(1, _NOISE_BYTES // (16 * (hi - lo) * p)))
-    blocks = np.zeros((2, run, hi - lo, p))
+    d, rows, p, ts, reads = s.d, hi - lo, _row_words(s.d), range(s.T, 1, -1), READS[kind]
+    run = min(len(ts), max(1, (_NOISE_BYTES // (16 * rows) - p) // (2 * d)))
+    block = np.zeros((2, run * 2 * d + p, rows))  # one allocation: see _NOISE_BYTES
+    halves = block[:, :run * 2 * d].reshape(2, run, 2 * d, rows)
+    scratch = block[:, run * 2 * d:].reshape(2, rows, p)
     words = slice(reads[0] * d, (reads[-1] + 1) * d) if reads else None
 
-    def fill(b, r):
-        return _draws(seed, ts[r:r + run], lo, blocks[b], words) if reads else blocks[b]
+    def drain(pop, half, own):  # draw the steps pop hands out until the queue is empty
+        try:
+            while True:
+                k, t = pop()
+                _draws(seed, t, lo, own, half[k], words)
+        except IndexError:
+            pass
 
     clip_count = 0
     with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(fill, 0, 0)
-        y = _draws(seed, [0], lo, np.empty((1, hi - lo, p)), slice(0, d))[0, :, :d]
+        def queue(b, r):
+            steps = deque(enumerate(ts[r:r + run]) if reads else ())
+            return steps, helper.submit(drain, steps.popleft, halves[b], scratch[0])
+
+        steps, ahead = queue(0, 0)
+        y = _draws(seed, 0, lo, scratch[1], np.empty((d, rows)), slice(0, d)).T
         for b, r in enumerate(range(0, len(ts), run)):
-            u = ahead.result()
+            drain(steps.pop, halves[b % 2], scratch[1])
+            ahead.result()
             if r + run < len(ts):
-                ahead = helper.submit(fill, 1 - b % 2, r + run)
+                steps, ahead = queue(1 - b % 2, r + run)
+            u = halves[b % 2]
             for k, t in enumerate(ts[r:r + run]):
-                y, clipped = step(kind, s, model, t, y, u[k, :, :d], u[k, :, d:2 * d])
+                y, clipped = step(kind, s, model, t, y, u[k, :d].T, u[k, d:].T)
                 clip_count += int(np.count_nonzero(clipped))
     return y, clip_count
 
@@ -205,8 +226,9 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
 
     Output is bit-identical for any ``jobs`` value: every trajectory's
     draws come from its own counter slice of each step's stream, and
-    results are assembled in trajectory order.  The batch is cut into
-    chunks of ``_CHUNK_ROWS`` rows whatever T, the last one short.
+    results are assembled in trajectory order, as a C-ordered (n, d) array.
+    The batch is cut into chunks of ``_CHUNK_ROWS`` rows whatever T, the
+    last one short.
     """
     if kind not in KINDS:
         raise UnsupportedKind(f"unknown sampler kind {kind!r}")
@@ -217,5 +239,5 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     calls = [(kind, s, model, seed, lo, min(lo + _CHUNK_ROWS, n))
              for lo in range(0, n, _CHUNK_ROWS)]
     parts = list(ordered_map(_simulate_chunk, calls, jobs))
-    return TrajectoryBatch(y1=np.vstack([p[0] for p in parts]),
+    return TrajectoryBatch(y1=np.concatenate([p[0] for p in parts], out=np.empty((n, s.d))),
                            clip_activations=sum(p[1] for p in parts))

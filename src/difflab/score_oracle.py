@@ -87,9 +87,9 @@ class ScoreModel:
         return shared[id(self.target)][1]
 
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
-        """grad log p_t at the rows of a batch x (n, d), as a new array; on a
-        single-Gaussian target -(x - m_t) P_t, where t may also be an int
-        array with one step per row."""
+        """grad log p_t at the rows of a batch x (n, d), as a new array, F-ordered
+        for one step t; on a single-Gaussian target -(x - m_t) P_t, where t may
+        also be an int array with one step per row."""
         x = _as_batch(x, self.target.d)
         t = self.schedule._check_t(t, lo=1, rows=len(x) if self.target.K == 1 else None)
         means, precisions, log_coefs = self._stacks
@@ -98,7 +98,7 @@ class ScoreModel:
         if isinstance(t, np.ndarray):
             return -np.matmul((x - np.take(means[:, 0], t, axis=0))[:, None],
                               np.take(precisions[:, 0], t, axis=0))[:, 0]
-        return -np.matmul(x - means[t, 0], precisions[t, 0])
+        return -np.matmul(x - means[t, 0], precisions[t, 0], order="F")
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:
         """s_t at the rows of a batch x (n, d), as a batch (n, d).  t is one

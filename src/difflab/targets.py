@@ -144,19 +144,19 @@ def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMi
 
 
 def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
-    """Gradient (n, d), as a new array, of the log-density of the mixture with
-    component means (K, d), precisions (K, d, d) and log-coefficients (K,) at
-    the rows of a batch x (n, d): -sum_k r_k P_k (x - m_k), r_k a max-shifted
-    softmax of the log-pdfs, exactly 0 where one underflows.  Where every
-    Mahalanobis term overflows (|x - m| past about 1e154) every r_k is 0/0
-    and the score is NaN, also for K = 1."""
-    diff = np.ascontiguousarray(x.T)[None] - means[:, :, None]
+    """Gradient (n, d), as a new F-ordered array, of the log-density of the
+    mixture with component means (K, d), precisions (K, d, d) and
+    log-coefficients (K,) at the rows of a batch x (n, d): -sum_k r_k P_k
+    (x - m_k), r_k a max-shifted softmax of the log-pdfs, exactly 0 where one
+    underflows.  Where every Mahalanobis term overflows (|x - m| past about
+    1e154) every r_k is 0/0 and the score is NaN, also for K = 1."""
+    diff = x.T[None] - means[:, :, None]  # x.T is contiguous for F-ordered x
     pdiff = np.matmul(precisions, diff)
     log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
     with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
         scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))
         resp = scaled / scaled.sum(axis=0)
-    return -np.einsum("kn,kdn->nd", resp, pdiff)
+    return -np.einsum("kn,kdn->nd", resp, pdiff, order="F")
 
 
 def score(mix: GaussianMixture, x) -> np.ndarray:

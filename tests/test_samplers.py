@@ -1,6 +1,9 @@
 import math
+import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from difflab.samplers import (
 from difflab.schedule import Schedule, ScheduleParams, build_schedule, clip as schedule_clip
 from difflab.score_oracle import ScoreModel
 from difflab.targets import (
+    GaussianMixture,
     gaussian_target,
     load_target,
     score,
@@ -267,14 +271,44 @@ def test_time_batched_step_index_errors(kind):
             step(kind, s, score, np.array(t), zeros, zeros, zeros)
 
 
+def mixture_score_model(s, seed):
+    rng = np.random.default_rng(seed)
+    covs = rng.standard_normal((3, s.d, s.d))
+    return ScoreModel("exact", GaussianMixture(np.array([0.2, 0.3, 0.5]),
+                                               rng.uniform(-2.0, 2.0, (3, s.d)),
+                                               covs @ np.swapaxes(covs, 1, 2) + 0.5 * np.eye(s.d)), s)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_step_ignores_memory_order(kind):
+    # C-ordered and F-ordered copies of (y, z_mid, z) give the same bits and
+    # clip decisions, on one Gaussian and on a mixture; F-ordered inputs give
+    # an F-ordered y_prev, the layout the chunk loop keeps from step to step
+    rng = np.random.default_rng(31)
+    clips = 0
+    for d in (1, 2, 3, 4):
+        s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, c_clip=0.1, d=d))
+        for model in (gaussian_score(s, d), mixture_score_model(s, d)):
+            for n in (1, 2, 8193):
+                draws = 2.0 * rng.standard_normal((3, n, d))
+                c = step(kind, s, model, 5, *(np.ascontiguousarray(a) for a in draws))
+                f = step(kind, s, model, 5, *(np.asfortranarray(a) for a in draws))
+                assert c[0].tobytes() == f[0].tobytes()
+                assert np.array_equal(c[1], f[1])
+                assert f[0].flags.f_contiguous
+                clips += int(np.count_nonzero(f[1]))
+    assert (clips > 0) == (kind == "accelerated")
+
+
 def test_noise_rows_are_chunk_invariant():
     # a row's words depend only on (seed, step, row): rows 7.. drawn alone are
-    # the same rows of the whole batch, at every step
-    d, seed, steps = 2, 4242, [0, 5, 8]
-    whole = _draws(seed, steps, 0, np.empty((3, 20, _row_words(d))), slice(None))
-    part = _draws(seed, steps, 7, np.empty((5, 13, _row_words(d))), slice(None))
-    assert part.shape == (3, 13, 4)
-    assert np.array_equal(whole[:, 7:], part)
+    # the same rows of the whole batch, at every step, written word-major
+    d, seed, p = 2, 4242, _row_words(2)
+    for t in (0, 5, 8):
+        whole = _draws(seed, t, 0, np.empty((20, p)), np.empty((2 * d, 20)), slice(None))
+        part = _draws(seed, t, 7, np.empty((13, p)), np.empty((2 * d, 13)), slice(None))
+        assert part.shape == (4, 13)
+        assert np.array_equal(whole[:, 7:], part)
     assert [_row_words(d) for d in (1, 2, 3, 4, 5)] == [4, 4, 8, 8, 12]
 
 
@@ -313,7 +347,8 @@ def test_step_keys_never_collide():
     # would give (seed, t + 1) the stream of (seed + 1, t)
     seeds = [0, 1, 2, 2**63, 2**64 - 2, 2**64 - 1]
     steps = [0, 1, 2, 3, 1024]
-    first = {(seed, t): _draws(seed, [t], 0, np.empty((1, 1, 4)), slice(0)).tobytes()
+    first = {(seed, t): _draws(seed, t, 0, np.empty((1, 4)), np.empty((4, 1)),
+                               slice(None)).tobytes()
              for seed in seeds for t in steps}
     assert len(set(first.values())) == len(first)
 
@@ -363,15 +398,16 @@ def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     target = load_target(str(CONFIGS / "mixture_2d_three.json"))
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
     model = ScoreModel("exact", target, s)
-    n = 7000  # one default chunk, its 15 steps' noise in blocks of 9 and 6
+    n = 7000  # one default chunk, its 15 steps' noise in runs of 8 and 7
     default = {kind: run_batch(kind, s, model, n, seed=21) for kind in KINDS}
     assert [kind for kind in KINDS if default[kind].clip_activations > 0] == ["accelerated"]
     # chunks of 997 rows, the last one short, each with all 15 steps in one
-    # block; then chunks of 3000 rows whose two half-blocks hold 4 steps each:
-    # runs of 4, 4, 4 and 3 steps; then one step per block, so the helper
-    # draws into one half while the caller reads the other at every step
-    for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, 2 * 4 * 3000 * 8 * 4),
-                              (3000, 2 * 3000 * 8 * 4)):
+    # run; then chunks of 3000 rows whose two halves hold 4 steps' (2d, rows)
+    # slabs each, beside two (rows, p) scratches: runs of 4, 4, 4 and 3 steps;
+    # then one step per half, so the next run is drawn at every step
+    slab = 4 * 3000 * 8  # 2d = p = 4 words of 3000 rows
+    for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, (2 * 4 + 2) * slab),
+                              (3000, (2 + 2) * slab)):
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(samplers, "_NOISE_BYTES", noise_bytes)
         for kind in KINDS:
@@ -380,29 +416,114 @@ def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
             assert np.array_equal(chunked.y1, default[kind].y1)
 
 
-def test_block_draws_run_off_the_callers_thread(monkeypatch):
-    # the caller draws Y_T while a helper thread draws every block of steps,
-    # each into the half-block the caller is not stepping through
+def test_each_step_is_drawn_once_by_either_thread(monkeypatch):
+    # the caller draws Y_T; every step of every run is drawn exactly once, into
+    # the half-block the caller is not stepping through; within a run the
+    # helper thread draws a prefix (possibly empty) and the caller the rest
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=2))
     model = ScoreModel("exact", standard_normal_target(2), s)
-    threads = []
-    real_draws = samplers._draws
+    rows, slab = 1000, 4 * 1000 * 8  # a step's (2d, rows) slab, in bytes
+    events = []
+    real_draws, real_step = samplers._draws, samplers.step
 
-    def recording_draws(seed, steps, lo, out, words):
-        threads.append((list(steps), threading.get_ident(), out.ctypes.data))
-        return real_draws(seed, steps, lo, out, words)
+    def recording_draws(seed, t, lo, scratch, out, words):
+        events.append((t, threading.get_ident(), out.ctypes.data))
+        return real_draws(seed, t, lo, scratch, out, words)
+
+    def recording_step(kind, s, model, t, y, z_mid, z):
+        events.append((t, "step", None))
+        return real_step(kind, s, model, t, y, z_mid, z)
 
     monkeypatch.setattr(samplers, "_draws", recording_draws)
-    monkeypatch.setattr(samplers, "_NOISE_BYTES", 2 * 4 * 1000 * 8 * 4)
-    run_batch("accelerated", s, model, 1000, seed=3)
-    first = [call for call in threads if call[0] == [0]]
-    blocks = [call for call in threads if call[0] != [0]]
-    assert len(first) == 1 and first[0][1] == threading.get_ident()
-    assert all(ident != threading.get_ident() for _, ident, _ in blocks)
-    assert [steps for steps, _, _ in blocks] == [
-        [16, 15, 14, 13], [12, 11, 10, 9], [8, 7, 6, 5], [4, 3, 2]]
-    halves = [address for _, _, address in blocks]
-    assert halves[0] == halves[2] != halves[1] == halves[3]
+    monkeypatch.setattr(samplers, "step", recording_step)
+    # two halves of 4 slabs and two (rows, p) scratches: runs of 4, 4, 4 and 3
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", (2 * 4 + 2) * slab)
+    run_batch("accelerated", s, model, rows, seed=3)
+    caller = threading.get_ident()
+    draws = [event for event in events if event[1] != "step"]
+    assert [ident for t, ident, _ in draws if t == 0] == [caller]
+    steps = [event for event in draws if event[0] != 0]
+    assert sorted(t for t, _, _ in steps) == list(range(2, 17))
+    drawn = {t: (ident, address) for t, ident, address in steps}
+    when = {(t, ident == "step"): i for i, (t, ident, _) in enumerate(events)}
+    runs = [[16, 15, 14, 13], [12, 11, 10, 9], [8, 7, 6, 5], [4, 3, 2]]
+    slots = [[drawn[t][1] for t in run] for run in runs]
+    assert all(np.diff(slot).tolist() == [slab] * (len(slot) - 1) for slot in slots)
+    assert slots[0] == slots[2] and slots[1][:3] == slots[3]  # two halves, alternating
+    assert abs(slots[1][0] - slots[0][0]) >= 4 * slab
+    for j, run in enumerate(runs):
+        by_caller = [drawn[t][0] == caller for t in run]
+        assert by_caller == sorted(by_caller)  # helper's steps first, then the caller's
+        # drawn after the caller left this half (run j - 2) and before it returns
+        after = when[(runs[j - 2][-1], True)] if j >= 2 else -1
+        assert all(after < when[(t, False)] < when[(run[0], True)] for t in run)
+
+
+def test_the_caller_draws_what_a_slow_helper_has_not(monkeypatch):
+    # with the helper thread's draws slowed to 20 ms a step, outputs and clip
+    # counts are those of the default run, and the caller, free long before
+    # the helper, draws most steps itself
+    target = load_target(str(CONFIGS / "mixture_2d_three.json"))
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
+    model = ScoreModel("exact", target, s)
+    default = {kind: run_batch(kind, s, model, 1000, seed=8) for kind in KINDS}
+    caller = threading.get_ident()
+    by_caller = []
+    real_draws = samplers._draws
+
+    def slow_helper_draws(seed, t, lo, scratch, out, words):
+        if t:
+            by_caller.append(threading.get_ident() == caller)
+        if threading.get_ident() != caller:
+            time.sleep(0.02)
+        return real_draws(seed, t, lo, scratch, out, words)
+
+    monkeypatch.setattr(samplers, "_draws", slow_helper_draws)
+    # two halves of 4 (2d, rows) slabs and two (rows, p) scratches: runs of 4, 4, 4 and 3
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", (2 * 4 + 2) * 4 * 1000 * 8)
+    for kind in KINDS:
+        by_caller.clear()
+        slowed = run_batch(kind, s, model, 1000, seed=8)
+        assert slowed.clip_activations == default[kind].clip_activations
+        assert np.array_equal(slowed.y1, default[kind].y1)
+        if samplers.READS[kind]:
+            assert len(by_caller) == 15 and sum(by_caller) > 15 / 2
+        else:
+            assert by_caller == []
+
+
+def test_draw_queue_holds_under_thread_switches(monkeypatch):
+    # a step popped by neither thread would leave a stale slab, and one popped
+    # by both would be drawn twice: with a 10 us switch interval and twelve
+    # batches run four at a time (eight threads on fewer cores), every step of
+    # every batch is drawn once and every output is that of a quiet run
+    target = load_target(str(CONFIGS / "mixture_2d_three.json"))
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, c_clip=0.05, d=2))
+    model = ScoreModel("exact", target, s)
+    # two halves of 4 (2d, rows) slabs and two (rows, p) scratches: runs of 4, 4, 4 and 3
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", (2 * 4 + 2) * 4 * 500 * 8)
+    calls = [(kind, 100 + i) for i, kind in enumerate(KINDS * 3)]
+    quiet = [run_batch(kind, s, model, 500, seed=seed) for kind, seed in calls]
+    drawn = []
+    real_draws = samplers._draws
+
+    def counting_draws(seed, t, lo, scratch, out, words):
+        drawn.append((seed, t))
+        return real_draws(seed, t, lo, scratch, out, words)
+
+    monkeypatch.setattr(samplers, "_draws", counting_draws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_batch, kind, s, model, 500, seed) for kind, seed in calls]
+            busy = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (kind, seed), a, b in zip(calls, quiet, busy):
+        assert np.array_equal(a.y1, b.y1) and a.clip_activations == b.clip_activations
+        steps = sorted(t for seed_, t in drawn if seed_ == seed)
+        assert steps == ([0] + list(range(2, 17)) if samplers.READS[kind] else [0])
 
 
 def test_no_thread_outlives_a_chunk(monkeypatch):
@@ -411,7 +532,8 @@ def test_no_thread_outlives_a_chunk(monkeypatch):
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=2.0, d=2))
     model = ScoreModel("exact", standard_normal_target(2), s)
     before = threading.active_count()
-    monkeypatch.setattr(samplers, "_NOISE_BYTES", 2 * 1000 * 8 * 4)  # one step per block
+    # two halves of one (2d, rows) slab and two (rows, p) scratches: one step per run
+    monkeypatch.setattr(samplers, "_NOISE_BYTES", (2 + 2) * 4 * 2500 * 8)
     for kind in KINDS:
         run_batch(kind, s, model, 2500, seed=5)
         assert threading.active_count() == before
@@ -436,8 +558,9 @@ def test_no_thread_outlives_a_chunk(monkeypatch):
 @pytest.mark.parametrize("T, n", [(64, 32768), (1024, 1024)])
 def test_sampling_memory_does_not_grow_with_T(T, n):
     # a chunk holds a fixed number of rows and draws its noise run by run
-    # into two half-blocks that together fill _NOISE_BYTES, so the peak is
-    # those blocks and a few MiB of per-step arrays, at any horizon
+    # into two halves that, with the two threads' scratches, fill
+    # _NOISE_BYTES, so the peak is that block and a few MiB of per-step
+    # arrays, at any horizon
     s = build_schedule(ScheduleParams(T=T, d=2))
     model = ScoreModel("exact", standard_normal_target(2), s)
     tracemalloc.start()

@@ -282,3 +282,23 @@ def test_relative_eps_score_refuses_a_non_finite_aggregate():
     model = ScoreModel("relative", standard_normal_target(2), s, 1e308)
     with pytest.raises(InvalidParams, match="not finite"):
         model.eps_score(mc_samples=10, stream=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_evaluate_ignores_memory_order(K, d):
+    # a C-ordered and an F-ordered copy of one batch give the same bits, signed
+    # zeros included, in every mode; the score of an F-ordered batch is
+    # F-ordered, so the sampler's coordinate-major arrays stay so
+    rng = np.random.default_rng(100 * K + d)
+    target = random_mixture(rng, d, K)
+    s = setup_schedule(T=8, d=d)
+    for mode, level in (("exact", 0.0), ("offset", 0.3), ("relative", -0.2)):
+        model = ScoreModel(mode, target, s, level)
+        for n in (1, 2, 8193):
+            x = 3.0 * rng.standard_normal((n, d))
+            x[0] = target.means[0]
+            c = model.evaluate(5, np.ascontiguousarray(x))
+            f = model.evaluate(5, np.asfortranarray(x))
+            assert c.tobytes() == f.tobytes()
+            assert f.flags.f_contiguous
