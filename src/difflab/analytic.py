@@ -3,15 +3,21 @@
 When the target is a single Gaussian, every score function is affine, so
 each sampler step is an affine map Y_{t-1} = A Y_t + B Z_mid + D Z + b of
 (current point, fresh draws) and the law of every iterate is Gaussian.
-This module reads the maps off the sampler step itself, run with the
-sampler's own exact ``ScoreModel``, and composes them, yielding the exact
-law of the final iterate with no Monte Carlo noise; it is the oracle behind
-the convergence-rate checks.
+This module reads the maps off the sampler step itself, run with an exact
+``ScoreModel``, and composes them, yielding the exact law of the final
+iterate with no Monte Carlo noise; it is the oracle behind the
+convergence-rate checks.
 
-The horizon is walked in blocks of ``_PROBE_STEPS`` steps: one
-``samplers.step`` call, given one step index per row, reads off all of a
-block's maps on at most 3d + 1 probe rows per step, and a pairwise tree
-composes them into one map that is folded into the running mean and covariance.
+The noise is isotropic, so in the principal axes of the target covariance
+C = U diag(lam) U' every map is diagonal and the law is d independent 1-D
+laws.  ``propagate`` therefore runs the steps on the diagonal target
+N(U'm, diag(lam)), which each target builds once (``principal``), and
+rotates only the final law back by U.  The horizon is walked in blocks of
+``_PROBE_STEPS`` steps: one ``samplers.step`` call, given one step index
+per row, reads off all of a block's per-coordinate maps on at most 4 probe
+rows per step whatever d, and a pairwise tree composes them elementwise
+into one map per coordinate that is folded into the running mean and
+variance.
 
 Every law here is a one-component ``GaussianMixture``.  Closed-form
 divergences between Gaussian laws live here too, with the total-variation
@@ -37,7 +43,7 @@ from .targets import GaussianMixture, gaussian_target
 AFFINE_KINDS = ("accelerated_noclip", "ddpm", "ode")
 
 # Steps probed per samplers.step call; bounds the probe stack at
-# _PROBE_STEPS * (3d + 1) rows independently of the horizon T.
+# _PROBE_STEPS * 4 rows independently of the horizon T.
 _PROBE_STEPS = 1024
 
 
@@ -57,59 +63,65 @@ def target_law(target: GaussianMixture) -> GaussianMixture:
     return target
 
 
-def _step_maps(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
-    """The affine maps of the steps in ``steps``, stacked as (A, B, D, b).
+def _step_laws(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
+    """Per-coordinate maps (a, b, q) (m, d) of the steps in ``steps`` on a
+    target with diagonal covariance: coordinate i of a step maps y to
+    a_i y_i + b_i plus noise of variance q_i.
 
-    One ``samplers.step`` call runs each step on probe rows of (y, z_mid, z)
-    for the inputs it reads (y and the draws in ``samplers.READS``): the zero
-    row gives b, each unit row minus it one column of [A B D], and an unread
-    input's column is 0.  The no-clip steps are affine, so this is exact.
+    One ``samplers.step`` call runs each step on the zero row, an all-ones y
+    row and an all-ones row per draw in ``samplers.READS``: the zero row gives
+    b, the others minus it a and the draws' coefficients, whose squares sum to
+    q.  The model's precisions are exactly diagonal, so no coordinate reaches
+    another and an all-ones row reads every coordinate's coefficient at once.
     """
-    d, m = s.d, len(steps)
-    read = np.flatnonzero(np.repeat([True, *(j in samplers.READS[kind] for j in (0, 1))], d))
+    d, m, reads = s.d, len(steps), samplers.READS[kind]
+    probe = np.zeros((2 + len(reads), 3, d))
+    probe[1, 0] = 1.0
+    for row, j in enumerate(reads, start=2):
+        probe[row, 1 + j] = 1.0
     # F-ordered, so y, z_mid and z are coordinate-major (rows, d) batches, as in a chunk
-    rows = np.asfortranarray(np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)[read]]), (m, 1)))
-    t = np.repeat(steps, len(read) + 1)
+    rows = np.asfortranarray(np.tile(probe.reshape(len(probe), 3 * d), (m, 1)))
+    t = np.repeat(steps, len(probe))
     out, _ = samplers.step(kind, s, model, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
-    out = out.reshape(m, len(read) + 1, d)
-    full = np.repeat(out[:, :1], 3 * d + 1, axis=1)  # (m, 3d + 1, d), every input unread
-    full[:, 1 + read] = out[:, 1:]
-    cols = np.swapaxes(full[:, 1:] - full[:, :1], 1, 2)
-    return cols[:, :, :d], cols[:, :, d:2 * d], cols[:, :, 2 * d:], full[:, 0]
+    out = out.reshape(m, len(probe), d)
+    coefs = out[:, 1:] - out[:, :1]
+    return coefs[:, 0], out[:, 0], np.square(coefs[:, 1:]).sum(axis=1)
 
 
-def _compose(A: np.ndarray, b: np.ndarray, Q: np.ndarray):
-    """The stacked maps, applied in index order, composed by a pairwise tree:
-    (A2, b2, Q2) after (A1, b1, Q1) is (A2 A1, A2 b1 + b2, A2 Q1 A2' + Q2)."""
-    while len(A) > 1:
-        n = len(A) - len(A) % 2
-        A1, A2 = A[0:n:2], A[1:n:2]
-        Q21 = A2 @ Q[0:n:2] @ np.swapaxes(A2, 1, 2) + Q[1:n:2]
-        A = np.concatenate([A2 @ A1, A[n:]])
-        b = np.concatenate([(A2 @ b[0:n:2, :, None])[:, :, 0] + b[1:n:2], b[n:]])
-        Q = np.concatenate([0.5 * (Q21 + np.swapaxes(Q21, 1, 2)), Q[n:]])
-    return A[0], b[0], Q[0]
+def _compose(a: np.ndarray, b: np.ndarray, q: np.ndarray):
+    """The stacked per-coordinate maps, applied in index order, composed by a
+    pairwise tree: (a2, b2, q2) after (a1, b1, q1) is (a2 a1, a2 b1 + b2,
+    a2 q1 a2 + q2)."""
+    while len(a) > 1:
+        n = len(a) - len(a) % 2
+        a2 = a[1:n:2]
+        q = np.concatenate([a2 * q[0:n:2] * a2 + q[1:n:2], q[n:]])
+        b = np.concatenate([a2 * b[0:n:2] + b[1:n:2], b[n:]])
+        a = np.concatenate([a2 * a[0:n:2], a[n:]])
+    return a[0], b[0], q[0]
 
 
 def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixture:
     """Exact law of the final iterate Y_1, starting from Y_T ~ N(0, I).
 
-    Each block of steps, t = T..2, composes to one map (A, b, Q = B B' + D D')
-    folded in as mean <- A mean + b, cov <- A cov A' + Q; every composed Q
-    and cov is symmetrized to suppress drift.
+    The law is propagated in the target's principal axes, where it is d
+    independent 1-D laws.  Each block of steps, t = T..2, composes to one map
+    per coordinate, folded in as mean <- a mean + b, var <- a var a + q; the
+    final law is rotated back to the target's frame once.
     """
     if kind not in AFFINE_KINDS:
         raise UnsupportedKind(f"kind {kind!r} has no affine form (supported: {AFFINE_KINDS})")
-    model = ScoreModel("exact", target_law(target), s)
+    axes, diagonal = target_law(target).principal
+    model = ScoreModel("exact", diagonal, s)
     mean = np.zeros(target.d)
-    cov = np.eye(target.d)
+    var = np.ones(target.d)
     for hi in range(s.T, 1, -_PROBE_STEPS):
-        A, B, D, b = _step_maps(s, model, kind, np.arange(hi, max(hi - _PROBE_STEPS, 1), -1))
-        A, b, Q = _compose(A, b, B @ np.swapaxes(B, 1, 2) + D @ np.swapaxes(D, 1, 2))
-        mean = A @ mean + b
-        cov = A @ cov @ A.T + Q
-        cov = 0.5 * (cov + cov.T)
-    return gaussian_target(mean, cov)
+        steps = np.arange(hi, max(hi - _PROBE_STEPS, 1), -1)
+        a, b, q = _compose(*_step_laws(s, model, kind, steps))
+        mean = a * mean + b
+        var = a * var * a + q
+    cov = (axes * var) @ axes.T
+    return gaussian_target(axes @ mean, 0.5 * (cov + cov.T))
 
 
 def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:

@@ -98,6 +98,8 @@ class ScoreModel:
         if isinstance(t, np.ndarray):
             return -np.matmul((x - np.take(means[:, 0], t, axis=0))[:, None],
                               np.take(precisions[:, 0], t, axis=0))[:, 0]
+        if len(x) == 1:  # one row is multiplied as two, like a row of any batch (see mixture_score)
+            return np.asfortranarray(self._exact(t, np.repeat(x, 2, axis=0))[:1])
         return -np.matmul(x - means[t, 0], precisions[t, 0], order="F")
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -113,6 +114,14 @@ class GaussianMixture:
         cov = np.einsum("k,kij->ij", self.weights, self.covariances)
         return cov + np.einsum("k,ki,kj->ij", self.weights, centered, centered)
 
+    @cached_property
+    def principal(self) -> tuple[np.ndarray, GaussianMixture]:
+        """(U, N(U'm, diag(lam))) for a single Gaussian N(m, U diag(lam) U'): the
+        principal axes as columns of U, and the target in their frame.  Built
+        once per target, so every user shares the one diagonal target."""
+        lam, axes = np.linalg.eigh(self.covariances[0])
+        return axes, gaussian_target(axes.T @ self.means[0], np.diag(lam))
+
 
 def gaussian_target(mean, cov) -> GaussianMixture:
     """Single-component mixture N(mean, cov)."""
@@ -151,7 +160,10 @@ def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
     underflows.  Where every Mahalanobis term overflows (|x - m| past about
     1e154) every r_k is 0/0 and the score is NaN, also for K = 1."""
     diff = x.T[None] - means[:, :, None]  # x.T is contiguous for F-ordered x
-    pdiff = np.matmul(precisions, diff)
+    # numpy multiplies by one column with a matrix-vector kernel that rounds
+    # otherwise, so a single row is multiplied as two, like a row of any batch
+    pdiff = np.matmul(precisions, np.repeat(diff, 2, axis=2) if len(x) == 1 else diff)
+    pdiff = pdiff[:, :, :len(x)]
     log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
     with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
         scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))
@@ -190,8 +202,10 @@ def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q: np.ndarray) ->
     if q.ndim != 1:
         raise InvalidParams(f"q must be one axis of points, got shape {q.shape}")
     z = (q[None, :] - proj_means[:, None]) / proj_sds[:, None]
-    # summed point by point: weights @ ndtr(z) would round some K >= 3 sums differently
-    return np.ascontiguousarray(ndtr(z).T) @ mix.weights
+    # summed point by point: weights @ ndtr(z) would round some K >= 3 sums
+    # differently; one point is summed as two, as a one-row product rounds otherwise
+    probs = ndtr(np.repeat(z, 2, axis=1) if len(q) == 1 else z)
+    return (np.ascontiguousarray(probs.T) @ mix.weights)[:len(q)]
 
 
 def load_target(path: str) -> GaussianMixture:

@@ -7,7 +7,6 @@ from difflab import samplers
 from difflab.analytic import (
     AFFINE_KINDS,
     _PROBE_STEPS,
-    _step_maps,
     gaussian_kl,
     propagate,
     scalar_propagate,
@@ -27,15 +26,16 @@ from difflab.targets import (
 
 
 def step_map(s, target, t, kind):
-    """(A, B, D, b) of step t, read off by the block probe for that one step."""
-    model = ScoreModel("exact", target_law(target), s)
-    A, B, D, b = _step_maps(s, model, kind, np.array([t]))
+    """(A, B, D, b) of step t, read off by the full probe for that one step."""
+    A, B, D, b = full_probe(s, ScoreModel("exact", target, s), kind, np.array([t]))
     return A[0], B[0], D[0], b[0]
 
 
 def full_probe(s, model, kind, steps):
     """(A, B, D, b) of the steps read off on all 3d + 1 probe rows per step,
-    whether or not the step reads the input a row probes."""
+    whether or not the step reads the input a row probes: the zero row gives
+    b, each unit row minus it one column of [A B D].  This works in any frame,
+    so it checks propagate's principal-axes probe from outside."""
     d, m = s.d, len(steps)
     rows = np.tile(np.vstack([np.zeros(3 * d), np.eye(3 * d)]), (m, 1))
     out, _ = samplers.step(kind, s, model, np.repeat(steps, 3 * d + 1),
@@ -175,7 +175,7 @@ def test_propagate_runs_the_sampler_step(monkeypatch):
 
 
 def test_propagate_ode_deterministic_covariance():
-    target = target_law(gaussian_target([0.3, 0.1], 0.8 * np.eye(2)))
+    target = target_law(gaussian_target([0.3, 0.1], np.array([[0.8, 0.3], [0.3, 0.5]])))
     s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
     law = propagate(s, target, "ode")
     prod = np.eye(2)
@@ -197,12 +197,13 @@ def test_propagate_single_step_base_case():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", AFFINE_KINDS)
 def test_propagate_matches_sequential_fold(kind, d):
-    # the block-batched tree composition equals folding the same maps one
-    # step at a time, on both sides of every block boundary
+    # the law propagated in the principal axes, block by block, equals folding
+    # the full maps of the correlated target itself one step at a time, on both
+    # sides of every block boundary
     target = random_target(np.random.default_rng(40 + d), d)
     for T in (2, 3, _PROBE_STEPS, _PROBE_STEPS + 1, 2 * _PROBE_STEPS + 3):
         s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=1.0, d=d))
-        maps = _step_maps(s, ScoreModel("exact", target, s), kind, np.arange(T, 1, -1))
+        maps = full_probe(s, ScoreModel("exact", target, s), kind, np.arange(T, 1, -1))
         mean, cov = np.zeros(d), np.eye(d)
         for A, B, D, b in zip(*maps):
             mean = A @ mean + b
@@ -213,40 +214,42 @@ def test_propagate_matches_sequential_fold(kind, d):
 
 
 def test_propagate_probe_rows_bounded_independently_of_T(monkeypatch):
-    # a step is probed on the zero row and one row per input it reads
-    d, T = 2, 16384
-    target = random_target(np.random.default_rng(3), d)
-    s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
+    # a step is probed on the zero row and one all-ones row per input it
+    # reads, whatever d: 1 + |y, z_mid, z| = 4, 1 + |y, z| = 3, 1 + |y| = 2
+    T = 16384
     original = samplers.step
 
     def bounded(kind, s, model, t, y, z_mid, z):
         rows.append(len(y))
-        assert len(y) <= _PROBE_STEPS * (3 * d + 1)
+        assert len(y) <= _PROBE_STEPS * 4
         return original(kind, s, model, t, y, z_mid, z)
 
     monkeypatch.setattr(samplers, "step", bounded)
-    for kind, per_step in (("accelerated_noclip", 3 * d + 1), ("ddpm", 2 * d + 1),
-                           ("ode", d + 1)):
-        rows = []
-        propagate(s, target, kind)
-        assert sum(rows) == (T - 1) * per_step
-        assert len(rows) == -(-(T - 1) // _PROBE_STEPS)
+    for d in (2, 5):
+        target = random_target(np.random.default_rng(3), d)
+        s = build_schedule(ScheduleParams(T=T, c0=4.0, c1=4.0, d=d))
+        for kind, per_step in (("accelerated_noclip", 4), ("ddpm", 3), ("ode", 2)):
+            rows = []
+            propagate(s, target, kind)
+            assert sum(rows) == (T - 1) * per_step
+            assert len(rows) == -(-(T - 1) // _PROBE_STEPS)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", AFFINE_KINDS)
-def test_reads_table_matches_the_step(kind, d):
-    # probing only the draws in samplers.READS gives the maps of probing every
-    # input bit for bit, and a draw is in the table iff the step reads it
+def test_reads_table_matches_the_step(kind, d, monkeypatch):
+    # a draw is in the table iff the step reads it, and probing only the draws
+    # in samplers.READS gives the law of probing every draw bit for bit
     target = random_target(np.random.default_rng(80 + d), d)
     s = build_schedule(ScheduleParams(T=40, c0=2.0, c1=2.5, d=d))
-    model = ScoreModel("exact", target, s)
-    steps = np.arange(s.T, 1, -1)
-    full = full_probe(s, model, kind, steps)
-    for probed, every in zip(_step_maps(s, model, kind, steps), full):
-        assert np.array_equal(probed, every)
+    full = full_probe(s, ScoreModel("exact", target, s), kind, np.arange(s.T, 1, -1))
     for j, draw in enumerate(full[1:3]):  # B (z_mid), D (z)
         assert np.any(draw) == (j in samplers.READS[kind])
+    probed = propagate(s, target, kind)
+    monkeypatch.setitem(samplers.READS, kind, (0, 1))
+    every = propagate(s, target, kind)
+    assert np.array_equal(probed.mean, every.mean)
+    assert np.array_equal(probed.cov, every.cov)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -268,7 +271,7 @@ def test_propagate_rotation_equivariant(kind, d):
 
 
 def test_propagate_matches_monte_carlo_moments():
-    target = standard_normal_target(2)
+    target = gaussian_target([0.6, -0.4], np.array([[1.4, 0.5], [0.5, 0.6]]))
     s = build_schedule(ScheduleParams(T=64, c0=4.0, c1=4.0, d=2))
     model = ScoreModel("exact", target, s)
     n = 65_536

@@ -404,10 +404,11 @@ def test_run_batch_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # chunks of 997 rows, the last one short, each with all 15 steps in one
     # run; then chunks of 3000 rows whose two halves hold 4 steps' (2d, rows)
     # slabs each, beside two (rows, p) scratches: runs of 4, 4, 4 and 3 steps;
-    # then one step per half, so the next run is drawn at every step
+    # then one step per half, so the next run is drawn at every step; then a
+    # last chunk of one row, scored like a row of any batch
     slab = 4 * 3000 * 8  # 2d = p = 4 words of 3000 rows
     for rows, noise_bytes in ((997, samplers._NOISE_BYTES), (3000, (2 * 4 + 2) * slab),
-                              (3000, (2 + 2) * slab)):
+                              (3000, (2 + 2) * slab), (n - 1, samplers._NOISE_BYTES)):
         monkeypatch.setattr(samplers, "_CHUNK_ROWS", rows)
         monkeypatch.setattr(samplers, "_NOISE_BYTES", noise_bytes)
         for kind in KINDS:

@@ -147,6 +147,34 @@ def test_clip_idempotent_on_random_vectors():
         assert np.array_equal(clip(s, t, once), once)
 
 
+@pytest.mark.parametrize("d", [8, 16])
+def test_clip_norm_ignores_memory_order(d):
+    # rows within an ulp of the radius are judged by their squares summed in
+    # coordinate order, for a C- or an F-ordered batch and for a single row;
+    # numpy's pairwise row sum would judge some of them otherwise
+    s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=1.0, d=d))
+    t = 5
+    r = s.clip_radius[t]
+    rng = np.random.default_rng(d)
+    u = rng.standard_normal((2000, d))
+    x = np.concatenate([u * (r * (1.0 + k * 2.0**-53) / np.linalg.norm(u, axis=1, keepdims=True))
+                        for k in (-2, -1, 0, 1, 2)])
+    sums = []
+    for row in x.tolist():  # one Python float at a time
+        total = 0.0
+        for v in row:
+            total += v * v
+        sums.append(total)
+    over = np.sqrt(sums) > r
+    assert 0 < over.sum() < len(x)
+    assert np.any((np.linalg.norm(x, axis=1) > r) != over)
+    expected = np.where(over[:, None], 0.0, x)
+    for batch in (np.ascontiguousarray(x), np.asfortranarray(x)):
+        assert clip(s, t, batch).tobytes() == expected.tobytes()
+    for i in np.flatnonzero((np.linalg.norm(x, axis=1) > r) != over)[:20]:
+        assert np.array_equal(clip(s, t, x[i:i + 1]), expected[i:i + 1])
+
+
 def test_batch_clip_is_rowwise_and_passes_nan():
     s = build_schedule(ScheduleParams(T=16, c0=2.0, c1=1.0, c_clip=0.05, d=3))
     t = 6

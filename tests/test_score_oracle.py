@@ -289,7 +289,8 @@ def test_relative_eps_score_refuses_a_non_finite_aggregate():
 def test_evaluate_ignores_memory_order(K, d):
     # a C-ordered and an F-ordered copy of one batch give the same bits, signed
     # zeros included, in every mode; the score of an F-ordered batch is
-    # F-ordered, so the sampler's coordinate-major arrays stay so
+    # F-ordered, so the sampler's coordinate-major arrays stay so; and a
+    # one-row batch gives the bits of its row inside a larger batch
     rng = np.random.default_rng(100 * K + d)
     target = random_mixture(rng, d, K)
     s = setup_schedule(T=8, d=d)
@@ -302,3 +303,5 @@ def test_evaluate_ignores_memory_order(K, d):
             f = model.evaluate(5, np.asfortranarray(x))
             assert c.tobytes() == f.tobytes()
             assert f.flags.f_contiguous
+            for i in range(min(n, 50)):
+                assert model.evaluate(5, x[i:i + 1]).tobytes() == f[i:i + 1].tobytes()

@@ -292,12 +292,13 @@ def test_score_returns_a_fresh_writable_array(K):
 
 
 def test_score_batch_consistent_with_single():
+    # a one-row batch gives its row's bits in any larger batch
     rng = np.random.default_rng(5)
     gm = random_mixture(rng, d=2, K=3)
-    xs = rng.standard_normal((10, 2))
+    xs = rng.standard_normal((50, 2))
     batch = score(gm, xs)
-    for i in range(10):
-        assert np.allclose(batch[i], score(gm, xs[i:i + 1])[0])
+    for i in range(50):
+        assert np.array_equal(batch[i], score(gm, xs[i:i + 1])[0])
 
 
 def test_batched_kernel_matches_per_component_reference():
@@ -368,6 +369,13 @@ def test_projected_cdf_basics():
     # q is an array of points, not a scalar
     with pytest.raises(InvalidParams, match="one axis of points"):
         projected_cdf(target, u, 0.0)
+    # one point gets its bits in any batch of points
+    mix = random_mixture(np.random.default_rng(8), d=2, K=3)
+    u = np.array([0.6, 0.8])
+    q = np.random.default_rng(9).standard_normal(50)
+    values = projected_cdf(mix, u, q)
+    for i in range(50):
+        assert projected_cdf(mix, u, q[i:i + 1]).tobytes() == values[i:i + 1].tobytes()
 
 
 def test_projected_cdf_matches_monte_carlo():
