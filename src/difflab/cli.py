@@ -47,9 +47,7 @@ def cmd_sample(args) -> int:
 def cmd_analytic(args) -> int:
     target = analytic.target_law(targets.load_target(args.target))
     s = build_schedule(_schedule_params(args, target.d))
-    law_1 = targets.forward_marginal(target, s, 1)
-    p_y1 = analytic.propagate(s, target, analytic.affine_kind(args.sampler))
-    kl = analytic.gaussian_kl(law_1, p_y1)
+    kl = analytic.final_kl(s, target, args.sampler)
     tv = analytic.tv_bound(kl)
     with open(args.out, "w") as fh:
         fh.write("sampler,T,d,kl,tv_bound\n")

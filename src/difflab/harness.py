@@ -191,13 +191,12 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
     eps_stream = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     out = {"eps_score": model.eps_score(_RELATIVE_MC_SAMPLES, eps_stream).eps_score}
 
-    law_1 = targets.forward_marginal(target, schedule, 1)
     if target.K == 1 and mode == "exact":
-        p_y1 = analytic.propagate(schedule, target, analytic.affine_kind(kind))
-        out["kl_analytic"] = analytic.gaussian_kl(law_1, p_y1)
+        out["kl_analytic"] = analytic.final_kl(schedule, target, kind)
         out["tv_bound"] = analytic.tv_bound(out["kl_analytic"])
 
     if _wants_mc(cfg, target, mode):
+        law_1 = targets.forward_marginal(target, schedule, 1)
         batch = run_batch(kind, schedule, model, cfg.n, seed)
         dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         out["sliced_tv"] = metrics.sliced_tv(batch.y1, law_1, cfg.n_dirs, dir_stream)

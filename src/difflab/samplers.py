@@ -1,4 +1,4 @@
-"""Reverse-process samplers: two-evaluation accelerated step, plain
+"""Reverse-process samplers: three-evaluation accelerated step, plain
 stochastic baseline, and a deterministic exponential-Euler step.
 
 Every step takes a batch of points (n, d) and its Gaussian draws as
@@ -67,10 +67,11 @@ def _per_row(value):
 
 def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
                      use_clip: bool = True):
-    """One two-evaluation stochastic step from t to t-1.
+    """One three-evaluation stochastic step from t to t-1.
 
-    The intermediate point reuses a single z_mid draw both in its own
-    update and inside the second score argument of the correction term.
+    The step-t score is evaluated at y and at y + (1 - alpha_t) z_mid, the
+    step-(t-1) score at the intermediate point: a single z_mid draw serves
+    both that point's own update and the correction term's second argument.
     Returns (y_prev, clipped) where ``clipped`` flags rows whose
     correction was zeroed by the norm threshold.
     """

@@ -124,10 +124,10 @@ class Schedule:
 def build_schedule(params: ScheduleParams) -> Schedule:
     """Construct the full schedule for ``params``.
 
-    Deterministic; raises ScheduleDegenerate if any per-step rate falls to
-    1/2 or below, or if the cumulative rate saturates to 1.0 in floating
-    point (both signal c1 * log(T) / T too large for this horizon), and
-    InvalidParams if no array of T doubles can be allocated.
+    Deterministic; raises ScheduleDegenerate, naming the step, if a
+    cumulative rate leaves (0, 1) or a per-step rate falls to 1/2 or below
+    (c1 * log(T) / T too large for this horizon, or T**(-c0) rounding to 0
+    or 1), and InvalidParams if no array of T doubles can be allocated.
     """
     T = params.T
     try:
@@ -136,15 +136,13 @@ def build_schedule(params: ScheduleParams) -> Schedule:
         raise InvalidParams(f"no memory for a schedule of T = {T} steps: {exc}") from exc
     rate = params.step_rate
     a = float(T) ** (-params.c0)
-    for t in range(T, 1, -1):  # in Python floats: numpy's arithmetic, at a third of the time
+    for t in range(T, 0, -1):  # in Python floats: numpy's arithmetic, at a third of the time
+        if not 0.0 < a < 1.0:  # checked before any division by a or 1 - a
+            raise ScheduleDegenerate(f"alpha_bar_{t} = {a!r} is outside (0, 1) at T = {T}, "
+                                     f"c0 = {params.c0!r}, c1 = {params.c1!r}")
         abar[t] = a
         a += rate * a * (1.0 - a)
-    abar[1] = a
 
-    if abar[1] >= 1.0:
-        raise ScheduleDegenerate(
-            "cumulative rate saturated at 1.0; reduce c1 or increase T"
-        )
     alpha = np.full(T + 1, np.nan)
     alpha[1:] = abar[1:] / abar[:-1]
     bad = alpha[2:] <= _ALPHA_FLOOR

@@ -36,10 +36,9 @@ _SHARED_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class EpsReport:
-    """Aggregate score error, per-step values, and Monte Carlo stderr."""
+    """Aggregate score error and its Monte Carlo stderr."""
 
     eps_score: float
-    per_step: np.ndarray  # (T,), t = 1..T
     stderr: float = 0.0
 
 
@@ -124,7 +123,7 @@ class ScoreModel:
         """
         T = self.schedule.T
         if self.mode != "relative":
-            return EpsReport(abs(self.level), np.full(T, abs(self.level)))
+            return EpsReport(abs(self.level))
         if mc_samples < 1:
             raise InvalidParams("relative mode needs mc_samples >= 1")
         if stream is None:
@@ -139,12 +138,11 @@ class ScoreModel:
             var_sq[t - 1] = sq.var(ddof=1) / mc_samples if mc_samples > 1 else 0.0
         level = np.float64(self.level)
         with np.errstate(over="ignore", invalid="ignore"):
-            per_step = abs(level) * np.sqrt(mean_sq)
             eps = float(np.sqrt(level**2 * np.mean(mean_sq)))
             # stderr of sqrt(mean of rho^2 * mean_sq): delta method
             var_mean = float(level**4 * np.sum(var_sq)) / T**2
         if not np.isfinite(eps):
             raise InvalidParams(f"relative score error is not finite at rho = {self.level!r}")
         stderr = 0.5 * np.sqrt(var_mean) / eps if eps > 0 else 0.0
-        return EpsReport(eps, per_step, stderr)
+        return EpsReport(eps, stderr)
 

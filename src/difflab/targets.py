@@ -51,9 +51,10 @@ class GaussianMixture:
     """Weights (K,), means (K, d) and covariances (K, d, d) of a Gaussian mixture.
 
     Every entry must be finite, weights must be positive and sum to 1 within
-    1e-12, and every covariance must admit a Cholesky factorization.  The
-    ``factor`` of the weights and covariances is cached on construction so
-    score evaluation is O(K * d^2) per point.
+    1e-12, and every covariance must admit a Cholesky factorization and have
+    positive ``eigh`` eigenvalues, so a single Gaussian has ``principal``
+    axes.  The ``factor`` of the weights and covariances is cached on
+    construction so score evaluation is O(K * d^2) per point.
     """
 
     weights: np.ndarray   # (K,)
@@ -81,6 +82,8 @@ class GaussianMixture:
         if np.max(np.abs(c - np.transpose(c, (0, 2, 1)))) > 1e-12:
             raise InvalidParams("covariances must be symmetric")
         chols, precisions, log_coefs = factor(w, c)
+        if np.any(np.linalg.eigh(c)[0] <= 0.0):  # principal's call, so they agree
+            raise InvalidParams("covariance not positive-definite: an eigenvalue is <= 0")
         object.__setattr__(self, "_chols", chols)
         object.__setattr__(self, "_precisions", precisions)
         object.__setattr__(self, "_log_coefs", log_coefs)
@@ -119,8 +122,8 @@ class GaussianMixture:
         """(U, N(U'm, diag(lam))) for a single Gaussian N(m, U diag(lam) U'): the
         principal axes as columns of U, and the target in their frame.  Built
         once per target, so every user shares the one diagonal target."""
-        lam, axes = np.linalg.eigh(self.covariances[0])
-        return axes, gaussian_target(axes.T @ self.means[0], np.diag(lam))
+        lam, axes = np.linalg.eigh(self.covariances)  # construction's call: lam > 0
+        return axes[0], gaussian_target(axes[0].T @ self.means[0], np.diag(lam[0]))
 
 
 def gaussian_target(mean, cov) -> GaussianMixture:

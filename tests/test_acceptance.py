@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from difflab.analytic import gaussian_kl, propagate, scalar_propagate, target_law
+from difflab.analytic import final_kl, propagate, scalar_propagate, target_law
 from difflab.cli import main as cli_main
 from difflab.harness import fit_slope
 from difflab.metrics import moment_kl
@@ -162,9 +162,7 @@ def test_criterion_4_rate_separation():
         out = []
         for T in grid:
             s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.5, d=2))
-            out.append((1.0 / s.params.step_rate,
-                        gaussian_kl(forward_marginal(target, s, 1),
-                                    propagate(s, target, kind))))
+            out.append((1.0 / s.params.step_rate, final_kl(s, target, kind)))
         return out
 
     acc = kl_for("accelerated_noclip")

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from difflab import samplers
 from difflab.analytic import (
     AFFINE_KINDS,
     _PROBE_STEPS,
+    final_kl,
     gaussian_kl,
     propagate,
     scalar_propagate,
@@ -23,6 +25,7 @@ from difflab.targets import (
     gaussian_target,
     standard_normal_target,
 )
+from gaussian_reference import decimal_final_kl
 
 
 def step_map(s, target, t, kind):
@@ -317,6 +320,44 @@ def test_gaussian_kl_nonnegative_and_permutation_invariant():
         p2 = gaussian_target(p.mean[perm], p.cov[np.ix_(perm, perm)])
         q2 = gaussian_target(q.mean[perm], q.cov[np.ix_(perm, perm)])
         assert abs(gaussian_kl(p2, q2) - kl) < 1e-12 * max(1.0, abs(kl))
+
+
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
+def test_final_kl_matches_a_decimal_reference(kind):
+    # at T = 4096 the accelerated KL is about 1.6e-10, and a form built from
+    # O(1) traces and log-determinants loses about 2e-6 of it to cancellation
+    mean, cov = [0.7, -0.4], [[1.6, 0.45], [0.45, 0.6]]
+    s = build_schedule(ScheduleParams(T=4096, c0=2.0, c1=2.5, d=2))
+    reference = decimal_final_kl(s, mean, cov, kind)
+    assert abs(final_kl(s, gaussian_target(mean, np.array(cov)), kind) - reference) \
+        <= 1e-8 * reference
+
+
+def test_final_kl_is_the_exact_cell_value():
+    target = gaussian_target([0.7, -0.4], np.array([[1.6, 0.45], [0.45, 0.6]]))
+    s = build_schedule(ScheduleParams(T=32, c0=2.0, c1=2.5, d=2))
+    law_1 = forward_marginal(target, s, 1)
+    for kind in AFFINE_KINDS:
+        assert final_kl(s, target, kind) == gaussian_kl(law_1, propagate(s, target, kind))
+    # clip-enabled accelerated is read through its no-clip law
+    assert final_kl(s, target, "accelerated") == final_kl(s, target, "accelerated_noclip")
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, math.pi), exponent=st.floats(-18.0, 0.0))
+@example(theta=2.563079532033328, exponent=-17.98904599931941)
+def test_every_single_gaussian_built_is_propagated(theta, exponent):
+    # construction and principal run the same eigh, so a near-singular
+    # covariance is refused when built or has principal axes
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    cov = rot @ np.diag([1.0, 10.0**exponent]) @ rot.T
+    cov[1, 0] = cov[0, 1]
+    try:
+        target = gaussian_target([0.3, -0.2], cov)
+    except InvalidParams:
+        return
+    law = propagate(build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2)), target, "ddpm")
+    assert np.all(np.isfinite(law.cov))
 
 
 def test_singular_covariance_rejected_when_built():

@@ -11,7 +11,7 @@ test_acceptance.py.
 import numpy as np
 import pytest
 
-from difflab.analytic import gaussian_kl, propagate, target_law
+from difflab.analytic import final_kl, gaussian_kl, propagate, target_law
 from difflab.harness import fit_slope
 from difflab.samplers import run_batch
 from difflab.schedule import ScheduleParams, build_schedule
@@ -24,8 +24,7 @@ def analytic_kls(kind, grid, c0=2.0, c1=2.5, d=2):
     out = []
     for T in grid:
         s = build_schedule(ScheduleParams(T=T, c0=c0, c1=c1, d=d))
-        out.append((T, gaussian_kl(forward_marginal(target, s, 1),
-                                   propagate(s, target, kind))))
+        out.append((T, final_kl(s, target, kind)))
     return out
 
 

@@ -91,6 +91,57 @@ def test_degenerate_schedule_rejected():
         build_schedule(ScheduleParams(T=8, c0=4.0, c1=4.0, c_clip=2.0, d=1))
 
 
+@pytest.mark.parametrize("T, c0, c1, t", [(4, 0.5, 4.0, 2), (16, 2.0, 40.0, 13),
+                                         (64, 2.0, 40.0, 57)])
+def test_schedule_refused_where_alpha_bar_leaves_the_unit_interval(T, c0, c1, t):
+    # alpha_bar overshoots 1 at step t (and at T = 16 runs on to -inf): refused
+    # there by name, before any division can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScheduleDegenerate, match=f"alpha_bar_{t} = "):
+            build_schedule(ScheduleParams(T=T, c0=c0, c1=c1))
+
+
+def plain_schedule(p):
+    """The module docstring's recursion and formulas written out, with no check."""
+    abar = np.ones(p.T + 1)
+    a, rate = float(p.T) ** (-p.c0), p.c1 * math.log(p.T) / p.T
+    for t in range(p.T, 0, -1):
+        abar[t] = a
+        a += rate * a * (1.0 - a)
+    with np.errstate(all="ignore"):
+        alpha = np.concatenate([[np.nan], abar[1:] / abar[:-1]])
+        a = alpha[2:]
+        sigma = np.sqrt(a - 1.0 / (3.0 - 2.0 * a))
+        radius = p.c_clip * (1.0 - a) * (p.d * math.log(p.T) / (1.0 - abar[2:])) ** 1.5
+    return abar, alpha, sigma, radius
+
+
+def test_a_schedule_builds_iff_its_plain_recursion_is_sound():
+    # accepted schedules keep every bit of the plain recursion; refused ones
+    # had some alpha_bar outside (0, 1) or some alpha_t <= 1/2
+    refused = 0
+    for T in (4, 6, 16, 64):
+        for c0 in (0.25, 0.5, 2.0, 4.0):
+            for c1 in (0.5, 2.5, 8.0, 40.0):
+                p = ScheduleParams(T=T, c0=c0, c1=c1, d=2)
+                abar, alpha, sigma, radius = plain_schedule(p)
+                sound = (np.all((abar[1:] > 0.0) & (abar[1:] < 1.0))
+                         and np.all(alpha[2:] > 0.5 + 1e-9))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if not sound:
+                        refused += 1
+                        with pytest.raises(ScheduleDegenerate):
+                            build_schedule(p)
+                        continue
+                    s = build_schedule(p)
+                for got, want in zip((s.alpha_bar, s.alpha, s.sigma[2:], s.clip_radius[2:]),
+                                     (abar, alpha, sigma, radius)):
+                    assert got.tobytes() == want.tobytes()
+    assert 0 < refused < 64
+
+
 def test_lemma_checks_pass_at_large_ratio():
     # all four inequalities hold when c1/c0 is comfortably large
     for T in [16, 64, 256, 512]:
