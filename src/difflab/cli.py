@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise InvalidParams(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except DiffLabError as exc:
+    except (DiffLabError, OSError) as exc:  # an output path that cannot be opened too
         print(f"difflab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,9 @@
 
 A score model is one (mode, level) pair over a target and a schedule:
 
-  exact     s_t(x) = grad log p_t(x) in closed form: the score of the
-            noised-marginal mixture at step t, or on a single Gaussian
-            -(x - m_t) P_t, the one definition that the samplers and
+  exact     s_t(x) = grad log p_t(x) in closed form: targets.mixture_score of
+            the noised marginal at step t, which is -(x - m_t) P_t on a
+            single Gaussian, the one definition that the samplers and
             analytic.propagate both run; the level must be 0.
   offset    s_t(x) = exact + delta * e_1, with delta the level and e_1 the
             first coordinate axis.  The per-step root-mean-square error is
@@ -30,7 +30,7 @@ from .targets import GaussianMixture
 
 MODES = ("exact", "offset", "relative")
 
-# schedule -> {id(target): (target, stacks)}, shared by models; gone with the schedule
+# schedule -> {target: stacks}, shared by models; gone with the schedule
 _SHARED_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -69,37 +69,30 @@ class ScoreModel:
             )
 
     @cached_property
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Means (T+1, K, d), precisions (T+1, K, d, d) and, if K > 1, log-coefficients
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Means (T+1, K, d), precisions (T+1, K, d, d) and log-coefficients
         (T+1, K) of the marginals t = 0..T, with the bits of ``forward_marginal``."""
         shared = _SHARED_STACKS.setdefault(self.schedule, {})
-        if id(self.target) in shared:  # an entry keeps its target, so the id is its own
-            return shared[id(self.target)][1]
-        abar, d = self.schedule.alpha_bar, self.target.d
-        _, precisions, log_coefs = targets.factor(
-            self.target.weights, abar[:, None, None, None] * self.target.covariances
-            + (1.0 - abar)[:, None, None, None] * np.eye(d))
-        means = np.sqrt(abar)[:, None, None] * self.target.means
-        # the K = 1 closed form needs no normalizer: its table is not kept
-        shared[id(self.target)] = self.target, (means, precisions,
-                                                log_coefs if self.target.K > 1 else None)
-        return shared[id(self.target)][1]
+        if self.target not in shared:
+            abar, d = self.schedule.alpha_bar, self.target.d
+            _, precisions, log_coefs = targets.factor(
+                self.target.weights, abar[:, None, None, None] * self.target.covariances
+                + (1.0 - abar)[:, None, None, None] * np.eye(d))
+            means = np.sqrt(abar)[:, None, None] * self.target.means
+            shared[self.target] = means, precisions, log_coefs
+        return shared[self.target]
 
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
-        """grad log p_t at the rows of a batch x (n, d), as a new array, F-ordered
-        for one step t; on a single-Gaussian target -(x - m_t) P_t, where t may
-        also be an int array with one step per row."""
+        """grad log p_t at the rows of a batch x (n, d), as a new array: the
+        ``mixture_score`` of step t's marginal, or on a single-Gaussian target,
+        with t an int array of one step per row, -(x - m_t) P_t row by row."""
         x = _as_batch(x, self.target.d)
         t = self.schedule._check_t(t, lo=1, rows=len(x) if self.target.K == 1 else None)
         means, precisions, log_coefs = self._stacks
-        if log_coefs is not None:
-            return targets.mixture_score(means[t], precisions[t], log_coefs[t], x)
         if isinstance(t, np.ndarray):
             return -np.matmul((x - np.take(means[:, 0], t, axis=0))[:, None],
                               np.take(precisions[:, 0], t, axis=0))[:, 0]
-        if len(x) == 1:  # one row is multiplied as two, like a row of any batch (see mixture_score)
-            return np.asfortranarray(self._exact(t, np.repeat(x, 2, axis=0))[:1])
-        return -np.matmul(x - means[t, 0], precisions[t, 0], order="F")
+        return targets.mixture_score(means[t], precisions[t], log_coefs[t], x)
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:
         """s_t at the rows of a batch x (n, d), as a batch (n, d).  t is one

@@ -46,7 +46,7 @@ def factor(weights, covariances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return chols, precisions, log_coefs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Weights (K,), means (K, d) and covariances (K, d, d) of a Gaussian mixture.
 
@@ -158,15 +158,20 @@ def forward_marginal(target: GaussianMixture, s: Schedule, t: int) -> GaussianMi
 def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
     """Gradient (n, d), as a new F-ordered array, of the log-density of the
     mixture with component means (K, d), precisions (K, d, d) and
-    log-coefficients (K,) at the rows of a batch x (n, d): -sum_k r_k P_k
-    (x - m_k), r_k a max-shifted softmax of the log-pdfs, exactly 0 where one
-    underflows.  Where every Mahalanobis term overflows (|x - m| past about
-    1e154) every r_k is 0/0 and the score is NaN, also for K = 1."""
-    diff = x.T[None] - means[:, :, None]  # x.T is contiguous for F-ordered x
-    # numpy multiplies by one column with a matrix-vector kernel that rounds
+    log-coefficients (K,) at the rows of a batch x (n, d): the one exact score.
+    For K = 1 it is -(x - m) P; otherwise -sum_k r_k P_k (x - m_k), r_k a
+    max-shifted softmax of the log-pdfs, exactly 0 where one underflows.  For
+    K > 1, where every Mahalanobis term overflows (|x - m| past about 1e154)
+    every r_k is 0/0 and the score is NaN."""
+    # numpy multiplies one row with a matrix-vector kernel that rounds
     # otherwise, so a single row is multiplied as two, like a row of any batch
-    pdiff = np.matmul(precisions, np.repeat(diff, 2, axis=2) if len(x) == 1 else diff)
-    pdiff = pdiff[:, :, :len(x)]
+    if len(x) == 1:
+        return np.asfortranarray(mixture_score(means, precisions, log_coefs,
+                                               np.repeat(x, 2, axis=0))[:1])
+    if len(means) == 1:
+        return -np.matmul(x - means[0], precisions[0], order="F")
+    diff = x.T[None] - means[:, :, None]  # x.T is contiguous for F-ordered x
+    pdiff = np.matmul(precisions, diff)
     log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
     with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
         scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))

@@ -178,6 +178,29 @@ def test_cli_error_classes(tmp_path, capsys, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["schedule", "sample", "analytic", "sweep"])
+def test_unopenable_output_is_one_error_line(tmp_path, capsys, command):
+    # an output in a missing directory ends in one difflab: line, not a traceback
+    out = tmp_path / "missing" / "out.csv"
+    target = write_target(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": target, "T_grid": [8, 16, 32], "samplers": ["ddpm"],
+                               "n": 1500, "out": str(out), "schedule": {"c0": 2.0, "c1": 2.0}}))
+    argv = {
+        "schedule": ["schedule", "--T", "8", "--c0", "2", "--c1", "2", "--out", str(out)],
+        "sample": sample_args(target, out, "--seed", "1"),
+        "analytic": ["analytic", "--sampler", "ddpm", "--target", target, "--T", "16",
+                     "--c0", "2", "--c1", "2", "--out", str(out)],
+        "sweep": ["sweep", "--config", str(cfg)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("difflab: FileNotFoundError: ") and str(out) in line
+
+
 @pytest.mark.parametrize("command", ["analytic", "sample"])
 @pytest.mark.parametrize("component", [
     {"weight": 1.0, "mean": [math.nan, 0.0], "cov_scale": 1.0},

@@ -176,23 +176,23 @@ def random_mixture(rng, d, K):
 @example(K=2, d=6, T=16, seed=12)  # scipy and numpy Cholesky factors differ in the last bits here
 def test_stacks_have_the_marginal_bits(K, d, T, seed):
     # every step's stacked means, precisions and log-coefficients are the
-    # bytes of forward_marginal's, since both come from targets.factor, and a
-    # mixture's score is targets.score of that marginal bit for bit
+    # bytes of forward_marginal's for every K, since both come from
+    # targets.factor, and the model's score is targets.score of that marginal
+    # bit for bit, since both run targets.mixture_score
     rng = np.random.default_rng(seed)
     target = random_mixture(rng, d, K)
     s = build_schedule(ScheduleParams(T=T, c0=2.0, c1=2.5, d=d))
     model = ScoreModel("exact", target, s)
     means, precisions, log_coefs = model._stacks
-    assert (log_coefs is None) == (K == 1)  # the K = 1 closed form needs none
     x = 3.0 * rng.standard_normal((200, d))
     for t in sorted({0, 1, 2, T // 2, T - 1, T}):
         law = targets.forward_marginal(target, s, t)
         assert means[t].tobytes() == law.means.tobytes()
         assert precisions[t].tobytes() == law._precisions.tobytes()
-        if K > 1:
-            assert log_coefs[t].tobytes() == law._log_coefs.tobytes()
-            if t >= 1:
-                assert model.evaluate(t, x).tobytes() == targets.score(law, x).tobytes()
+        assert log_coefs[t].tobytes() == law._log_coefs.tobytes()
+        if t >= 1:
+            assert model.evaluate(t, x).tobytes() == targets.score(law, x).tobytes()
+            assert model.evaluate(t, x[:1]).tobytes() == targets.score(law, x[:1]).tobytes()
     if K > 1:  # a mixture's score takes one step per call
         with pytest.raises(InvalidParams):
             model.evaluate(np.full(len(x), 1), x)
@@ -253,17 +253,20 @@ def test_single_gaussian_score_has_the_marginal_bits():
 
 
 def test_far_tail_single_gaussian_score_is_finite():
-    # |x - m| ~ 1e160 overflows every Mahalanobis term: the mixture score of
-    # the marginal is NaN there, for one component too, while the model's
-    # closed form stays finite
+    # |x - m| ~ 1e160 overflows every Mahalanobis term: on one Gaussian the
+    # score is the closed form -(x - m_t) P_t, finite there, in the model and in
+    # targets.score alike; a mixture's softmax is 0/0 there, so its score is NaN
     s = setup_schedule()
     model = ScoreModel("exact", correlated_gaussian(), s)
+    mix = ScoreModel("exact", two_component_2d(), s)
     x = np.array([[1e160, 0.0]])
     for t in (1, 8, 16):
+        law = targets.forward_marginal(model.target, s, t)
         assert np.all(np.isfinite(model.evaluate(t, x)))
+        assert targets.score(law, x).tobytes() == model.evaluate(t, x).tobytes()
         with np.errstate(over="ignore", invalid="ignore"):
-            law = targets.forward_marginal(model.target, s, t)
-            assert np.all(np.isnan(targets.score(law, x)))
+            assert np.all(np.isnan(mix.evaluate(t, x)))
+            assert np.all(np.isnan(targets.score(targets.forward_marginal(mix.target, s, t), x)))
 
 
 @pytest.mark.parametrize("T, delta", [(83, 0.04097352393619469), (16, 1e200), (16, -0.3)])

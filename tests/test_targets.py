@@ -49,6 +49,20 @@ def random_mixture(rng, d, K):
     return GaussianMixture(weights, means, covs)
 
 
+def test_mixture_is_its_own_value():
+    # a law equals and hashes as itself: arrays are not compared, so equal
+    # values are two laws, and both fit in one set; a ScoreModel holding
+    # either compares without raising
+    a, b = standard_normal_target(2), standard_normal_target(2)
+    assert a == a and hash(a) == hash(a)
+    assert a != b
+    assert len({a, b, a}) == 2
+    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
+    model = ScoreModel("exact", a, s)
+    assert model == ScoreModel("exact", a, s)
+    assert model != ScoreModel("exact", b, s)
+
+
 def test_mixture_validation():
     with pytest.raises(InvalidParams):
         GaussianMixture(np.array([0.5, 0.6]), np.zeros((2, 1)), np.ones((2, 1, 1)))
