@@ -8,7 +8,7 @@ import sys
 from . import analytic, harness, targets
 from .errors import DiffLabError, InvalidParams
 from .harness import FLOAT_FORMAT, format_value
-from .samplers import KINDS, run_batch
+from .samplers import KINDS, check_batch, run_batch
 from .schedule import ScheduleParams, build_schedule
 from .score_oracle import ScoreModel
 
@@ -33,8 +33,9 @@ def cmd_sample(args) -> int:
     target = targets.load_target(args.target)
     s = build_schedule(_schedule_params(args, target.d))
     model = ScoreModel("exact", target, s)
-    batch = run_batch(args.sampler, s, model, args.n, args.seed, jobs=args.jobs)
-    with open(args.out, "w") as fh:
+    check_batch(args.sampler, args.n, args.seed)
+    with open(args.out, "w") as fh:  # an output that cannot be opened is refused before any step
+        batch = run_batch(args.sampler, s, model, args.n, args.seed, jobs=args.jobs)
         fh.write(",".join(f"y1_{j}" for j in range(target.d)) + "\n")
         line = ",".join([FLOAT_FORMAT] * target.d) + "\n"
         for lo in range(0, args.n, _WRITE_ROWS):

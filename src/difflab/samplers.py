@@ -221,6 +221,17 @@ def ordered_map(fn, calls: list[tuple], jobs: int = 1):
             yield fn(*call)
 
 
+def check_batch(kind: str, n: int, seed: int) -> None:
+    """Refuse what ``run_batch`` refuses: an unknown kind, n < 1 or a seed
+    outside [0, 2**64)."""
+    if kind not in KINDS:
+        raise UnsupportedKind(f"unknown sampler kind {kind!r}")
+    if n < 1:
+        raise InvalidParams("trajectory count must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
               jobs: int = 1) -> TrajectoryBatch:
     """Run n reverse trajectories and return their outputs at t = 1.
@@ -231,12 +242,7 @@ def run_batch(kind: str, s: Schedule, model: ScoreModel, n: int, seed: int,
     The batch is cut into chunks of ``_CHUNK_ROWS`` rows whatever T, the
     last one short.
     """
-    if kind not in KINDS:
-        raise UnsupportedKind(f"unknown sampler kind {kind!r}")
-    if n < 1:
-        raise InvalidParams("trajectory count must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
+    check_batch(kind, n, seed)
     calls = [(kind, s, model, seed, lo, min(lo + _CHUNK_ROWS, n))
              for lo in range(0, n, _CHUNK_ROWS)]
     parts = list(ordered_map(_simulate_chunk, calls, jobs))

@@ -172,11 +172,16 @@ def mixture_score(means, precisions, log_coefs, x: np.ndarray) -> np.ndarray:
         return -np.matmul(x - means[0], precisions[0], order="F")
     diff = x.T[None] - means[:, :, None]  # x.T is contiguous for F-ordered x
     pdiff = np.matmul(precisions, diff)
-    log_pdfs = log_coefs[:, None] - 0.5 * np.einsum("kdn,kdn->kn", diff, pdiff)
+    # in place, with the bits of log_coefs - 0.5 * maha: c + (-0.5 m) is c - 0.5 m
+    resp = np.einsum("kdn,kdn->kn", diff, pdiff)
+    resp *= -0.5
+    resp += log_coefs[:, None]
     with np.errstate(invalid="ignore"):  # the NaN is the caller's to refuse
-        scaled = np.exp(log_pdfs - log_pdfs.max(axis=0))
-        resp = scaled / scaled.sum(axis=0)
-    return -np.einsum("kn,kdn->nd", resp, pdiff, order="F")
+        resp -= resp.max(axis=0)
+        np.exp(resp, out=resp)
+        resp /= resp.sum(axis=0)
+    out = np.einsum("kn,kdn->nd", resp, pdiff, order="F")
+    return np.negative(out, out=out)
 
 
 def score(mix: GaussianMixture, x) -> np.ndarray:
@@ -192,28 +197,39 @@ def sample(mix: GaussianMixture, n: int, stream: np.random.Generator) -> np.ndar
     return out
 
 
-def projected_cdf(mix: GaussianMixture, direction: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """CDF at each point of q (m,) of the 1-D law of <direction, X> for X
-    from the mixture.
+def unit_directions(directions, d: int) -> np.ndarray:
+    """directions as a float stack (m, d) of m >= 1 unit rows; InvalidParams
+    for any other shape, or a row whose norm is not 1 within 1e-9 (so a
+    NaN or infinite row too)."""
+    u = np.asarray(directions, dtype=float)
+    if u.ndim != 2 or len(u) < 1 or u.shape[1] != d:
+        raise InvalidParams(f"directions must be a nonempty (m, {d}) stack, got shape {u.shape}")
+    norms = np.linalg.norm(u, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        raise InvalidParams(f"direction norms must be 1, got {norms!r}")
+    return u
+
+
+def projected_cdf(mix: GaussianMixture, directions, q) -> np.ndarray:
+    """CDF (m, p) at each point q[i, j] of q (m, p) of the 1-D law of
+    <directions[i], X> for X from the mixture, given ``unit_directions`` (m, d).
 
     The projection of a mixture is the 1-D mixture of N(u'm_i, u'C_i u);
     its CDF is a weighted sum of Gaussian error functions.
     """
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (mix.d,):
-        raise InvalidParams(f"direction must have dimension {mix.d}, got shape {u.shape}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise InvalidParams(f"direction norm {np.linalg.norm(u)!r} != 1")
-    proj_means = mix.means @ u
-    proj_sds = np.sqrt(np.einsum("i,kij,j->k", u, mix.covariances, u))
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1:
-        raise InvalidParams(f"q must be one axis of points, got shape {q.shape}")
-    z = (q[None, :] - proj_means[:, None]) / proj_sds[:, None]
-    # summed point by point: weights @ ndtr(z) would round some K >= 3 sums
-    # differently; one point is summed as two, as a one-row product rounds otherwise
-    probs = ndtr(np.repeat(z, 2, axis=1) if len(q) == 1 else z)
-    return (np.ascontiguousarray(probs.T) @ mix.weights)[:len(q)]
+    u = unit_directions(directions, mix.d)
+    q = np.ascontiguousarray(q, dtype=float)  # so z and its ndtr are point-major
+    if q.ndim != 2 or len(q) != len(u):
+        raise InvalidParams(f"q must hold one row of points per direction, got shape {q.shape}")
+    # one direction at a time: a stacked u @ means.T rounds otherwise
+    proj_means = np.array([mix.means @ v for v in u])
+    proj_sds = np.sqrt([np.einsum("i,kij,j->k", v, mix.covariances, v) for v in u])
+    # point-major (m, p, K), so each point sums its components in a row: weights
+    # @ ndtr(z) would round some K >= 3 sums differently; one point is summed
+    # as two, as a one-row product rounds otherwise
+    z = (q[:, :, None] - proj_means[:, None]) / proj_sds[:, None]
+    probs = ndtr(np.repeat(z, 2, axis=1) if q.size == 1 else z).reshape(-1, mix.K)
+    return (probs @ mix.weights)[:q.size].reshape(q.shape)
 
 
 def load_target(path: str) -> GaussianMixture:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import difflab
-from difflab import analytic, harness, samplers
+from difflab import analytic, harness, metrics, samplers, targets
 from difflab.schedule import ScheduleParams, build_schedule
 from difflab.score_oracle import ScoreModel
 from difflab.targets import gaussian_target, standard_normal_target
@@ -77,6 +77,24 @@ def test_sweep_reaches_propagate_through_the_module(tmp_path, monkeypatch):
     monkeypatch.setattr(analytic, "propagate", record)
     harness.run_sweep(cfg)
     assert calls == [(kind, T) for kind in cfg.samplers for T in cfg.T_grid]
+
+
+def test_sliced_tv_reaches_projected_cdf_through_the_module(monkeypatch):
+    # the tracer patches targets.projected_cdf on the module, so the traced
+    # targets.projected_cdf_s reads the CDF time of every sliced distance
+    law = standard_normal_target(2)
+    y = np.random.default_rng(3).standard_normal((1000, 2))
+    calls = []
+    original = targets.projected_cdf
+
+    def record(mix, directions, q):
+        calls.append(len(directions))
+        return original(mix, directions, q)
+
+    monkeypatch.setattr(targets, "projected_cdf", record)
+    value = metrics.sliced_tv(y, law, n_dirs=4, stream=np.random.default_rng(5))
+    assert 0 < value < 1
+    assert calls and all(m == 4 for m in calls)
 
 
 def test_run_batch_reaches_step_through_the_module(monkeypatch):

@@ -201,6 +201,16 @@ def test_unopenable_output_is_one_error_line(tmp_path, capsys, command):
     assert line.startswith("difflab: FileNotFoundError: ") and str(out) in line
 
 
+def test_sample_refuses_an_unopenable_output_before_any_step(tmp_path, capsys, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("sampled before the output was opened")
+
+    monkeypatch.setattr(cli, "run_batch", no_batch)
+    out = tmp_path / "missing" / "y.csv"
+    assert main(sample_args(write_target(tmp_path), out, "--seed", "1")) == 1
+    assert_one_error_line(capsys, "FileNotFoundError")
+
+
 @pytest.mark.parametrize("command", ["analytic", "sample"])
 @pytest.mark.parametrize("component", [
     {"weight": 1.0, "mean": [math.nan, 0.0], "cov_scale": 1.0},

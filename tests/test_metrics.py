@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from difflab import targets
 from difflab.analytic import gaussian_kl
 from difflab.errors import InvalidParams
 from difflab.metrics import fit_gaussian, moment_kl, random_directions, sliced_tv
 from difflab.schedule import ScheduleParams, build_schedule
-from difflab.targets import GaussianMixture, forward_marginal, sample, standard_normal_target
+from difflab.targets import (GaussianMixture, forward_marginal, projected_cdf, sample,
+                             standard_normal_target)
 
 
 def stationary_law(d=2, T=16):
@@ -41,6 +44,47 @@ def test_sliced_tv_disjoint_supports():
     assert mean_tv > 0.999
 
 
+def full_scan(y, law, directions):
+    """The sliced distance with the projected CDF at every sorted point."""
+    n = len(y)
+    grid_lo = np.arange(n) / n
+    grid_hi = np.arange(1, n + 1) / n
+    distances = []
+    for u in directions:
+        cdf = projected_cdf(law, u[None], np.sort(y @ u)[None])[0]
+        distances.append(float(np.max(np.maximum(cdf - grid_lo, grid_hi - cdf))))
+    return float(np.mean(distances))
+
+
+def random_law(rng, d, K):
+    weights = rng.uniform(0.2, 1.0, K)
+    a = rng.standard_normal((K, d, d))
+    covs = a @ np.swapaxes(a, 1, 2) / d + rng.uniform(0.05, 1.0) * np.eye(d)
+    return GaussianMixture(weights / weights.sum(), rng.uniform(-3.0, 3.0, (K, d)), covs)
+
+
+def test_bracketed_scan_is_the_full_scan_bit_for_bit():
+    # the anchors and their bounds only skip points that cannot hold the sup,
+    # so the distance is the float of a scan at every point: on the law, off
+    # it (shifted, scaled, another mixture, rounded to a grid so points tie)
+    # and with disjoint supports, where the sup sits at the last point
+    rng = np.random.default_rng(2029)
+    for case in range(320):
+        d, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        n = int(rng.integers(1000, 8001))
+        law = random_law(rng, d, K)
+        kind = case % 5
+        y = sample(random_law(rng, d, K) if kind == 2 else law, n, rng)
+        if kind == 1:
+            y = y * rng.uniform(0.7, 1.4) + rng.uniform(-0.5, 0.5, d)
+        elif kind == 3:
+            y = np.round(y, 1)
+        elif kind == 4:
+            y = y + 40.0
+        dirs = random_directions(d, int(rng.integers(1, 7)), rng)
+        assert sliced_tv(y, law, directions=dirs) == full_scan(y, law, dirs), case
+
+
 def test_sliced_tv_deterministic_given_stream():
     target, s, law = stationary_law()
     batch = sample(law, 2000, np.random.default_rng(5))
@@ -62,6 +106,33 @@ def test_sliced_tv_needs_stream_or_directions():
     target, s, law = stationary_law()
     with pytest.raises(InvalidParams):
         sliced_tv(np.zeros((1000, 2)), law, n_dirs=2)
+
+
+@pytest.mark.parametrize("case", ["wrong_dimension", "bare_direction", "no_directions",
+                                  "nan_direction", "non_finite_sample"])
+def test_sliced_tv_refuses_malformed_input_before_any_work(monkeypatch, case):
+    target, s, law = stationary_law()
+    y = sample(law, 1000, np.random.default_rng(4))
+    dirs = random_directions(2, 3, np.random.default_rng(6))
+    if case == "wrong_dimension":
+        dirs = random_directions(3, 3, np.random.default_rng(6))
+    elif case == "bare_direction":
+        dirs = dirs[0]
+    elif case == "no_directions":
+        dirs = dirs[:0]
+    elif case == "nan_direction":
+        dirs[1] = np.nan
+    else:
+        y[17, 1] = np.inf
+
+    def no_cdf(*args):
+        raise AssertionError("the CDF was reached before the input was checked")
+
+    monkeypatch.setattr(targets, "projected_cdf", no_cdf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams):
+            sliced_tv(y, law, directions=dirs)
 
 
 def test_sliced_tv_rotation_invariant():

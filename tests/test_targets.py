@@ -205,7 +205,7 @@ def test_log_density_matches_quadrature_1d():
     for _ in range(5):
         q = float(rng.uniform(-3, 3))
         integral, _ = quad(density, -np.inf, q)
-        assert abs(integral - projected_cdf(gm, np.array([1.0]), np.array([q]))[0]) < 1e-8
+        assert abs(integral - projected_cdf(gm, np.array([[1.0]]), np.array([[q]]))[0, 0]) < 1e-8
 
 
 def test_score_standard_normal():
@@ -372,33 +372,44 @@ def test_sample_forward_matches_marginal_covariance():
 
 def test_projected_cdf_basics():
     target = standard_normal_target(3)
-    u = np.array([1.0, 0.0, 0.0])
-    values = projected_cdf(target, u, np.array([0.0, 40.0]))
-    assert values[0] == pytest.approx(0.5, abs=1e-12)
-    assert values[1] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidParams):
-        projected_cdf(target, 2 * u, np.array([0.0]))
-    with pytest.raises(InvalidParams, match="direction must have dimension"):
-        projected_cdf(target, np.array([1.0, 0.0]), np.array([0.0]))
-    # q is an array of points, not a scalar
-    with pytest.raises(InvalidParams, match="one axis of points"):
-        projected_cdf(target, u, 0.0)
-    # one point gets its bits in any batch of points
+    u = np.array([[1.0, 0.0, 0.0]])
+    values = projected_cdf(target, u, np.array([[0.0, 40.0]]))
+    assert values.shape == (1, 2)
+    assert values[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert values[0, 1] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InvalidParams, match="norms must be 1"):
+        projected_cdf(target, 2 * u, np.array([[0.0]]))
+    with pytest.raises(InvalidParams, match="norms must be 1"):
+        projected_cdf(target, np.full((1, 3), np.nan), np.array([[0.0]]))
+    # directions are a nonempty (m, d) stack: no bare direction, no other d
+    for bad in (u[0], np.array([[1.0, 0.0]]), np.empty((0, 3))):
+        with pytest.raises(InvalidParams, match="nonempty"):
+            projected_cdf(target, bad, np.array([[0.0]]))
+    # q holds one row of points per direction
+    for bad in (0.0, np.array([0.0]), np.zeros((2, 1))):
+        with pytest.raises(InvalidParams, match="one row of points per direction"):
+            projected_cdf(target, u, bad)
+    # one point gets its bits in any stack of directions and points
     mix = random_mixture(np.random.default_rng(8), d=2, K=3)
-    u = np.array([0.6, 0.8])
-    q = np.random.default_rng(9).standard_normal(50)
-    values = projected_cdf(mix, u, q)
-    for i in range(50):
-        assert projected_cdf(mix, u, q[i:i + 1]).tobytes() == values[i:i + 1].tobytes()
+    angles = np.random.default_rng(10).uniform(0, 2 * np.pi, 3)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    q = np.random.default_rng(9).standard_normal((3, 50))
+    values = projected_cdf(mix, dirs, q)
+    for i in range(3):
+        row = projected_cdf(mix, dirs[i:i + 1], q[i:i + 1])
+        assert row.tobytes() == values[i:i + 1].tobytes()
+        for j in range(50):
+            point = projected_cdf(mix, dirs[i:i + 1], q[i:i + 1, j:j + 1])
+            assert point.tobytes() == values[i:i + 1, j:j + 1].tobytes()
 
 
 def test_projected_cdf_matches_monte_carlo():
     gm = two_component_1d()
-    u = np.array([1.0])
+    u = np.array([[1.0]])
     n = 10_000_000
     draws = sample(gm, n, np.random.default_rng(4))
     q = 1.0
-    analytic = projected_cdf(gm, u, np.array([q]))[0]
+    analytic = projected_cdf(gm, u, np.array([[q]]))[0, 0]
     empirical = np.mean(draws[:, 0] <= q)
     se = math.sqrt(analytic * (1 - analytic) / n)
     assert abs(empirical - analytic) < 3 * se
