@@ -123,16 +123,21 @@ def gaussian_kl(p: GaussianMixture, q: GaussianMixture) -> float:
     covariance passed a Cholesky factorization when the mixture was built.
 
     0.5 * [sum_i (mu_i - log1p(mu_i)) + (mq - mp)' Cq^-1 (mq - mp)], with mu
-    the eigenvalues of L^-1 Cp L^-T minus 1 and Cq = L L'.  Each term is
+    the eigenvalues lam of L^-1 Cp L^-T minus 1 and Cq = L L'.  Each term is
     small when p is near q, so no O(1) traces or log-determinants cancel.
+    A far eigenvalue, lam < 1e-3, takes log(lam) in place of log1p(mu): there
+    lam - 1 rounds by up to 2**-54, which log1p magnifies by 1/lam, and below
+    about 1e-16 to -1, so the KL stays finite however small Cp is against Cq.
     """
     if p.d != q.d:
         raise InvalidParams("laws must share a dimension")
     chol_q, prec_q, _ = targets.factor(1.0, q.cov)
     half = np.linalg.solve(chol_q, p.cov)  # L^-1 Cp, whose transpose is Cp L^-T
-    mu = np.linalg.eigvalsh(np.linalg.solve(chol_q, half.T)) - 1.0
+    lam = np.linalg.eigvalsh(np.linalg.solve(chol_q, half.T))
+    mu, far = lam - 1.0, lam < 1e-3
+    logs = np.log1p(np.where(far, 0.0, mu)) + np.log(np.where(far, lam, 1.0))
     diff = q.mean - p.mean
-    return 0.5 * float(np.sum(mu - np.log1p(mu)) + diff @ prec_q @ diff)
+    return 0.5 * float(np.sum(mu - logs) + diff @ prec_q @ diff)
 
 
 def final_kl(s: Schedule, target: GaussianMixture, kind: str) -> float:

@@ -90,9 +90,11 @@ def fit_gaussian(y: np.ndarray) -> GaussianMixture:
     n, d = y.shape
     if n <= d + 1:
         raise InvalidParams(f"need more than d + 1 = {d + 1} samples, got {n}")
-    mean = y.mean(axis=0)
-    cov = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
-    return targets.gaussian_target(mean, 0.5 * (cov + cov.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # the mixture refuses an overflow
+        mean = y.mean(axis=0)
+        cov = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
+        cov = 0.5 * (cov + cov.T)
+    return targets.gaussian_target(mean, cov)
 
 
 def moment_kl(y: np.ndarray, law: GaussianMixture) -> float:

@@ -20,11 +20,10 @@ and clip radius do not exist).
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidParams, UnsupportedKind
 from .schedule import Schedule, _as_batch, clip
@@ -147,6 +146,8 @@ def _draws(seed: int, t: int, lo: int, scratch: np.ndarray, out: np.ndarray,
     Philox(key=seed + (t << 64)) into ``scratch`` (rows, p), and row i from its
     counter positions [i p, (i + 1) p), so a row's draws depend only on
     (seed, t, i), never on chunking."""
+    from scipy.special import ndtri  # loaded by a first draw: exact-only runs never load it
+
     bitgen = np.random.Philox(key=seed + (t << 64))
     bitgen.advance(lo * scratch.shape[1] // _WORDS_PER_BLOCK)
     np.random.Generator(bitgen).random(out=scratch)
@@ -187,7 +188,8 @@ def _simulate_chunk(kind: str, s: Schedule, model: ScoreModel, seed: int,
             pass
 
     clip_count = 0
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    # numpy warns of no overflow in a step: TrajectoryBatch's finiteness check refuses it
+    with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(all="ignore"):
         def queue(b, r):
             steps = deque(enumerate(ts[r:r + run]) if reads else ())
             return steps, helper.submit(drain, steps.popleft, halves[b], scratch[0])
@@ -214,6 +216,8 @@ def ordered_map(fn, calls: list[tuple], jobs: int = 1):
     as soon as it and every earlier one is done.
     """
     if jobs > 1 and len(calls) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
             yield from pool.map(fn, *zip(*calls))
     else:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidParams, TargetLoadFailed
 from .schedule import Schedule, _as_batch, as_integer
@@ -217,6 +216,8 @@ def projected_cdf(mix: GaussianMixture, directions, q) -> np.ndarray:
     The projection of a mixture is the 1-D mixture of N(u'm_i, u'C_i u);
     its CDF is a weighted sum of Gaussian error functions.
     """
+    from scipy.special import ndtr  # loaded by a first use, as in samplers._draws
+
     u = unit_directions(directions, mix.d)
     q = np.ascontiguousarray(q, dtype=float)  # so z and its ndtr are point-major
     if q.ndim != 2 or len(q) != len(u):

@@ -1,12 +1,14 @@
-import pytest
+import concurrent.futures
 
-from difflab import samplers
+import pytest
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Run every process pool in-process instead; yields the list of the
-    ``max_workers`` each pool was started with.  No worker process starts."""
+    ``max_workers`` each pool was started with.  No worker process starts.
+    ``samplers.ordered_map`` imports the pool class when it starts one, so
+    the class is replaced where it is defined."""
     sizes = []
 
     class InProcessPool:
@@ -22,5 +24,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(samplers, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,19 @@ def test_gaussian_kl_noising_formula():
     expected = 0.5 * (d * (1 - abar) - d + abar * 1.0 - d * math.log(1 - abar))
     assert gaussian_kl(p, q) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.4431472, abs=5e-8)
+
+
+@pytest.mark.parametrize("ratio", [0.49, 1e-3, 1e-16, 1e-17, 1e-40, 1e-300])
+def test_gaussian_kl_of_a_far_eigenvalue_is_finite_and_silent(ratio):
+    # Cp = ratio * Cq: each eigenvalue is lam = ratio, whose lam - 1 rounds to
+    # -1 below about 1e-16; the closed form is 0.5 d (lam - 1 - log lam)
+    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+    p = gaussian_target(np.zeros(2), ratio * cov)
+    q = gaussian_target(np.zeros(2), cov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kl = gaussian_kl(p, q)
+    assert kl == pytest.approx(ratio - 1.0 - math.log(ratio), rel=1e-12)
 
 
 def test_gaussian_kl_nonnegative_and_permutation_invariant():

@@ -233,6 +233,130 @@ def test_config_fuzz_one_key(key, value):
             ScheduleParams(T=T, c0=cfg.c0, c1=cfg.c1, c_clip=cfg.c_clip)
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+METRIC_FIELDS = ("eps_score", "kl_analytic", "tv_bound", "sliced_tv", "moment_kl", "clip_rate")
+MC_FIELDS = {"sliced_tv", "moment_kl", "clip_rate"}
+LEVELS = st.sampled_from([0.0, 1e-3, -1.0, 1e3, -1e3, 1e150, -1e200, 1e308, -1e308])
+
+
+@st.composite
+def sweep_targets(draw):
+    """A shipped target file's contents, or a far-out mixture of one or two
+    components: means up to 1e150, covariance scales from 1e-150 to 1e100,
+    or in d = 2 a rotated near-singular covariance with eigenvalues 1 and
+    1e-18...1e-14."""
+    shipped = draw(st.sampled_from(["std_normal_2d", "mixture_2d_three",
+                                    "mixture_1d_bimodal", None]))
+    if shipped is not None:
+        return json.loads((CONFIG_DIR / f"{shipped}.json").read_text())
+    d, K = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    components = []
+    for _ in range(K):
+        mean = [draw(st.sampled_from([0.0, 1.0, -1e8, 1e150])) for _ in range(d)]
+        if d == 2 and draw(st.booleans()):
+            theta = draw(st.floats(0.0, math.pi))
+            rot = np.array([[math.cos(theta), -math.sin(theta)],
+                            [math.sin(theta), math.cos(theta)]])
+            cov = rot @ np.diag([1.0, 10.0 ** -draw(st.floats(14.0, 18.0))]) @ rot.T
+            cov[1, 0] = cov[0, 1]
+            components.append({"weight": 1.0 / K, "mean": mean, "cov": cov.tolist()})
+        else:
+            components.append({"weight": 1.0 / K, "mean": mean, "cov_scale": draw(
+                st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e100]))})
+    return {"d": d, "components": components}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(target=sweep_targets(),
+       samplers=st.lists(st.sampled_from(["accelerated", "accelerated_noclip", "ddpm", "ode"]),
+                         min_size=1, max_size=2, unique=True),
+       T_grid=st.sampled_from([[4], [16], [8, 32], [16, 64]]),
+       mode=st.sampled_from(["exact", "offset", "relative"]),
+       levels=st.lists(LEVELS, min_size=1, max_size=2),
+       mc=st.sampled_from([None, False, True]))
+def test_sweep_fuzz_ends_in_rows_or_one_error_line(target, samplers, T_grid, mode, levels, mc):
+    # a sweep over any target, score error and grid, with every numpy
+    # RuntimeWarning an error: the command either refuses the config with
+    # one line or writes every row complete or followed by # cell_failed,
+    # with no inf or nan in any field
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = {"target": os.path.join(tmp, "target.json"), "T_grid": T_grid,
+               "samplers": samplers, "n": 1000, "n_dirs": 4, "seed": 5,
+               "out": os.path.join(tmp, "sweep.csv"),
+               "score": {"mode": "exact"} if mode == "exact" else
+               {"mode": mode, harness._LEVEL_KEYS[mode]: levels}}
+        if mc is not None:
+            raw["mc"] = mc
+        with open(raw["target"], "w") as fh:
+            json.dump(target, fh)
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "--config", cfg_path])
+        if code == 1:
+            assert err.getvalue().startswith("difflab: ") and err.getvalue().count("\n") == 1
+            return
+        assert code == 0 and err.getvalue() == ""
+        lines = open(raw["out"]).read().splitlines()
+        assert lines[0] == CSV_HEADER
+        K = len(target["components"])
+        wants_mc = mc if mc is not None else (K != 1 or mode != "exact")
+        expected = ({"eps_score"} | ({"kl_analytic", "tv_bound"} if K == 1 and mode == "exact"
+                                     else set()) | (MC_FIELDS if wants_mc else set()))
+        rows = [ln for ln in lines[1:] if not ln.startswith("# slope")]
+        for i, line in enumerate(rows):
+            if line.startswith("# cell_failed"):
+                assert i > 0 and not rows[i - 1].startswith("#")
+                continue
+            values = line.split(",")
+            assert len(values) == len(harness._FIELDS), line
+            row = dict(zip(harness._FIELDS, values))
+            failed = i + 1 < len(rows) and rows[i + 1].startswith("# cell_failed")
+            filled = {f for f in METRIC_FIELDS if row[f]}
+            assert filled == (set() if failed else expected), line
+            assert all(math.isfinite(float(row[f])) for f in filled), line
+
+
+def test_moment_kl_stays_finite_when_the_batch_spreads_far(tmp_path):
+    # rho = 1e3 spreads the batch about 1e16 times past the law, where an
+    # eigenvalue's lam - 1 rounds to -1; its KL term is lam - 1 - log(lam)
+    cfg = make_config(tmp_path, target=str(CONFIG_DIR / "mixture_2d_three.json"),
+                      T_grid=[16, 64], samplers=["accelerated", "ddpm", "ode"], n=1000,
+                      score={"mode": "relative", "rho": 1e3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_sweep(cfg)
+    kls = [row["moment_kl"] for row in report.rows]
+    assert len(kls) == 6 and all(math.isfinite(kl) and kl > 100.0 for kl in kls)
+
+
+def test_overflowing_steps_fail_their_cells_without_a_warning(tmp_path):
+    # offsets of +-1e308 overflow every step; each cell fails alone through
+    # the batch's finiteness check, and numpy warns of nothing on the way
+    # (the sweep runs as under python -W error::RuntimeWarning)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "target": str(CONFIG_DIR / "std_normal_2d.json"), "T_grid": [16], "n": 1000,
+        "samplers": ["accelerated", "ddpm", "ode"], "out": str(tmp_path / "sweep.csv"),
+        "score": {"mode": "offset", "delta": [1e308, -1e308]}}))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+    assert err.getvalue() == ""
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 12
+    for row, comment in zip(lines[::2], lines[1::2]):
+        assert not row.startswith("#")
+        assert comment.startswith("# cell_failed,") and comment.endswith(
+            "trajectory outputs contain non-finite values")
+
+
 def test_small_n_allowed_without_monte_carlo(tmp_path):
     cfg = make_config(tmp_path, n=500, T_grid=[8])
     report = run_sweep(cfg)

@@ -124,6 +124,55 @@ def test_bare_import_leaves_scipy_linalg_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def run_fresh(tmp_path, code):
+    """Run ``code`` in a fresh interpreter in tmp_path; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code], cwd=str(tmp_path),
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def cli_call(argv):
+    return f"from difflab import cli\nassert cli.main({argv!r}) == 0\n"
+
+
+NOT_LOADED = ("loaded = [m for m in ('scipy.special', 'multiprocessing') if m in sys.modules]\n"
+              "assert not loaded, loaded\n")
+STD_NORMAL = os.path.join(os.path.abspath(CONFIG_DIR), "std_normal_2d.json")
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["schedule", "--T", "64", "--d", "2", "--out", "s.csv"],
+    ["analytic", "--sampler", "accelerated", "--target", STD_NORMAL, "--T", "64",
+     "--out", "a.csv"],
+    ["sweep", "--config", "exact.json"],
+], ids=["import", "schedule", "analytic", "exact_sweep"])
+def test_exact_paths_load_neither_scipy_special_nor_multiprocessing(tmp_path, argv):
+    # only a Monte Carlo draw or a sliced distance needs scipy.special, and
+    # only a pool of more than one worker needs multiprocessing
+    (tmp_path / "exact.json").write_text(json.dumps({
+        "target": STD_NORMAL, "T_grid": [16, 32, 64], "n": 1000, "out": "exact.csv",
+        "samplers": ["accelerated", "accelerated_noclip", "ddpm", "ode"]}))
+    run_fresh(tmp_path, ("import difflab\n" if argv is None else cli_call(argv)) + NOT_LOADED)
+    if argv is not None and argv[0] == "sweep":
+        text = (tmp_path / "exact.csv").read_text()
+        assert "cell_failed" not in text and text.count("\n") == 1 + 12 + 4  # rows, slopes
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sample_that_loads_scipy_itself_writes_the_same_bytes(tmp_path, jobs):
+    # a fresh run makes the first import of scipy.special inside its draws
+    # (in the helper thread, and in each pool worker at --jobs 2)
+    target = os.path.join(os.path.abspath(CONFIG_DIR), "mixture_2d_three.json")
+    argv = ["sample", "--sampler", "accelerated", "--target", target, "--T", "16",
+            "--n", "9000", "--seed", "5", "--jobs", jobs]
+    run_fresh(tmp_path, cli_call(argv + ["--out", "fresh.csv"]))
+    run_fresh(tmp_path, "import scipy.special\n" + cli_call(argv + ["--out", "loaded.csv"]))
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert fresh.count(b"\n") == 9002
+    assert fresh == (tmp_path / "loaded.csv").read_bytes()
+
+
 def test_readme_library_example_runs(tmp_path):
     # the README's one Python block, as a user would paste it into a fresh
     # interpreter
