@@ -13,11 +13,11 @@ C = U diag(lam) U' every map is diagonal and the law is d independent 1-D
 laws.  ``propagate`` therefore runs the steps on the diagonal target
 N(U'm, diag(lam)), which each target builds once (``principal``), and
 rotates only the final law back by U.  The horizon is walked in blocks of
-``_PROBE_STEPS`` steps: one ``samplers.step`` call, given one step index
-per row, reads off all of a block's per-coordinate maps on at most 4 probe
-rows per step whatever d, and a pairwise tree composes them elementwise
-into one map per coordinate that is folded into the running mean and
-variance.
+``_PROBE_STEPS`` steps: one ``samplers.step`` call, given the block's
+array of steps, reads off all of its per-coordinate maps on a run of at
+most 4 probe rows per step whatever d, and a pairwise tree composes them
+elementwise into one map per coordinate that is folded into the running
+mean and variance.
 
 Every law here is a one-component ``GaussianMixture``.  The one closed-form
 Gaussian KL lives here too, formed from terms that are each small when the
@@ -72,26 +72,38 @@ def _step_laws(s: Schedule, model: ScoreModel, kind: str, steps: np.ndarray):
     probe[1, 0] = 1.0
     for row, j in enumerate(reads, start=2):
         probe[row, 1 + j] = 1.0
-    # F-ordered, so y, z_mid and z are coordinate-major (rows, d) batches, as in a chunk
+    # F-ordered, so y, z_mid and z are coordinate-major (rows, d) batches, as in a
+    # chunk; step k runs the probe rows [k r, (k + 1) r), r = len(probe)
     rows = np.asfortranarray(np.tile(probe.reshape(len(probe), 3 * d), (m, 1)))
-    t = np.repeat(steps, len(probe))
-    out, _ = samplers.step(kind, s, model, t, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
+    out, _ = samplers.step(kind, s, model, steps, rows[:, :d], rows[:, d:2 * d], rows[:, 2 * d:])
     out = out.reshape(m, len(probe), d)
     coefs = out[:, 1:] - out[:, :1]
     return coefs[:, 0], out[:, 0], np.square(coefs[:, 1:]).sum(axis=1)
 
 
 def _compose(a: np.ndarray, b: np.ndarray, q: np.ndarray):
-    """The stacked per-coordinate maps, applied in index order, composed by a
-    pairwise tree: (a2, b2, q2) after (a1, b1, q1) is (a2 a1, a2 b1 + b2,
-    a2 q1 a2 + q2)."""
-    while len(a) > 1:
-        n = len(a) - len(a) % 2
-        a2 = a[1:n:2]
-        q = np.concatenate([a2 * q[0:n:2] * a2 + q[1:n:2], q[n:]])
-        b = np.concatenate([a2 * b[0:n:2] + b[1:n:2], b[n:]])
-        a = np.concatenate([a2 * a[0:n:2], a[n:]])
-    return a[0], b[0], q[0]
+    """(a, b, q) (d,) of the stacked per-coordinate maps (m, d), applied in
+    index order, composed by a pairwise tree: (a2, b2, q2) after (a1, b1, q1)
+    is (a2 a1, a2 b1 + b2, a2 q1 a2 + q2), each round in place on every
+    other map.
+
+    The stack is padded to a power of two with identity maps (1, -0, -0); an
+    identity after a map leaves its every bit (x + -0 is x, a -0 too), so the
+    pairs and the bits are those of a tree that carries an odd map over to the
+    next round."""
+    m, d = a.shape
+    size = 1 << (m - 1).bit_length()
+    # (a, b, q) stacked with the map index last, so each op runs long loops
+    abq = np.full((3, d, size), -0.0)
+    abq[0, :, m:] = 1.0
+    abq[:, :, :m] = a.T, b.T, q.T
+    while abq.shape[2] > 1:
+        first, then = abq[..., 0::2], abq[0, :, 1::2]
+        first *= then  # a1 a2, b1 a2, q1 a2
+        first[2] *= then
+        first[1:] += abq[1:, :, 1::2]
+        abq = first
+    return abq[:, :, 0]
 
 
 def propagate(s: Schedule, target: GaussianMixture, kind: str) -> GaussianMixture:

@@ -183,7 +183,9 @@ def _wants_mc(cfg: ExperimentConfig, target: GaussianMixture, mode: str) -> bool
 
 def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
                   kind: str, T: int, mode: str, level: float, schedules: dict) -> dict:
-    """The metric fields of one cell's row; raises on any cell failure."""
+    """The metric fields of one cell's row; raises on any cell failure but a
+    ``moment_kl`` that cannot be formed, which leaves that field out and sets
+    the row's error, so the cell fails with its other fields kept."""
     if T not in schedules:  # the first cell at a horizon builds the sweep's schedule
         schedules[T] = build_schedule(ScheduleParams(T, cfg.c0, cfg.c1, cfg.c_clip, target.d))
     schedule = schedules[T]
@@ -200,15 +202,19 @@ def _cell_metrics(target: GaussianMixture, cfg: ExperimentConfig, seed: int,
         batch = run_batch(kind, schedule, model, cfg.n, seed)
         dir_stream = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         out["sliced_tv"] = metrics.sliced_tv(batch.y1, law_1, cfg.n_dirs, dir_stream)
-        out["moment_kl"] = metrics.moment_kl(batch.y1, law_1)
         out["clip_rate"] = batch.clip_activations / (cfg.n * (T - 1))
+        try:
+            out["moment_kl"] = metrics.moment_kl(batch.y1, law_1)
+        except DiffLabError as exc:  # a batch spread past any Gaussian fit
+            out["error"] = str(exc)
     return out
 
 
 def _run_cell(target: GaussianMixture, cfg: ExperimentConfig, index: int,
               kind: str, T: int, mode: str, level: float, schedules: dict) -> dict:
     """One grid cell as a CSV row; any DiffLabError fails the cell alone,
-    leaving its metric fields empty."""
+    leaving its metric fields empty (all but ``moment_kl`` where only that
+    field failed, see ``_cell_metrics``)."""
     start = time.perf_counter()
     seed = _cell_seed(cfg.seed, index)
     row = {**dict.fromkeys(_FIELDS), "sampler": kind, "T": T, "d": target.d,

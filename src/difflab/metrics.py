@@ -86,7 +86,9 @@ def sliced_tv(y: np.ndarray, law: GaussianMixture, n_dirs: int = 32,
 
 
 def fit_gaussian(y: np.ndarray) -> GaussianMixture:
-    """Moment-matched Gaussian of a batch y (n, d): sample mean, sample covariance."""
+    """Moment-matched Gaussian of a batch y (n, d): sample mean, sample covariance.
+    InvalidParams, naming the batch's sample moments, where they are not those
+    of a Gaussian: overflowed, or a covariance that is not positive-definite."""
     n, d = y.shape
     if n <= d + 1:
         raise InvalidParams(f"need more than d + 1 = {d + 1} samples, got {n}")
@@ -94,7 +96,11 @@ def fit_gaussian(y: np.ndarray) -> GaussianMixture:
         mean = y.mean(axis=0)
         cov = np.cov(y, rowvar=False, ddof=1).reshape(d, d)
         cov = 0.5 * (cov + cov.T)
-    return targets.gaussian_target(mean, cov)
+    try:
+        return targets.gaussian_target(mean, cov)
+    except InvalidParams as exc:
+        raise InvalidParams(f"no Gaussian fits the batch's sample mean and covariance: "
+                            f"{exc}") from exc
 
 
 def moment_kl(y: np.ndarray, law: GaussianMixture) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, UnsupportedKind
-from .schedule import Schedule, _as_batch, clip
+from .schedule import Schedule, _as_batch, clip, per_row
 from .score_oracle import ScoreModel
 
 # The draws each kind's step reads: 0 is z_mid (words [0, d)), 1 is z ([d, 2d)).
@@ -59,11 +59,6 @@ class TrajectoryBatch:
         self.y1.setflags(write=False)
 
 
-def _per_row(value):
-    """A schedule value; for an int array t (one step per row) as a column."""
-    return value[:, None] if isinstance(value, np.ndarray) else value
-
-
 def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
                      use_clip: bool = True):
     """One three-evaluation stochastic step from t to t-1.
@@ -77,8 +72,8 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
     y = _as_batch(y, s.d)
     z_mid = _as_batch(z_mid, s.d)
     z = _as_batch(z, s.d)
-    s._check_t(t, lo=2, rows=len(y))
-    a = _per_row(s.alpha[t])
+    t = s._check_t(t, lo=2, rows=len(y))
+    a = per_row(s.alpha, t, len(y))
     om = 1.0 - a
     sqrt_a = np.sqrt(a)
 
@@ -93,7 +88,7 @@ def accelerated_step(s: Schedule, model: ScoreModel, t, y, z_mid, z,
         clipped = np.einsum("ij,ij->i", moved, moved) > 0.0
         g = kept
 
-    y_prev = (y + om * (s_t_y + a * g) + _per_row(s.sigma[t]) * z) / sqrt_a
+    y_prev = (y + om * (s_t_y + a * g) + per_row(s.sigma, t, len(y)) * z) / sqrt_a
     return y_prev, clipped
 
 
@@ -102,8 +97,8 @@ def ddpm_step(s: Schedule, model: ScoreModel, t, y, z):
     sqrt(1 - alpha_t) injected inside the 1/sqrt(alpha_t) rescaling."""
     y = _as_batch(y, s.d)
     z = _as_batch(z, s.d)
-    s._check_t(t, lo=2, rows=len(y))
-    a = _per_row(s.alpha[t])
+    t = s._check_t(t, lo=2, rows=len(y))
+    a = per_row(s.alpha, t, len(y))
     om = 1.0 - a
     return (y + om * model.evaluate(t, y) + np.sqrt(om) * z) / np.sqrt(a)
 
@@ -112,8 +107,8 @@ def ode_step(s: Schedule, model: ScoreModel, t, y):
     """One deterministic step (exponential-Euler discretization of the
     deterministic reverse dynamics): half the score coefficient, no noise."""
     y = _as_batch(y, s.d)
-    s._check_t(t, lo=2, rows=len(y))
-    a = _per_row(s.alpha[t])
+    t = s._check_t(t, lo=2, rows=len(y))
+    a = per_row(s.alpha, t, len(y))
     return (y + 0.5 * (1.0 - a) * model.evaluate(t, y)) / np.sqrt(a)
 
 
@@ -123,7 +118,8 @@ def step(kind: str, s: Schedule, model: ScoreModel, t, y, z_mid, z):
     The one mapping from kind to step function, used by ``run_batch`` and
     ``analytic.propagate``; ``clipped`` is all False for kinds without a clip.
     The step functions are module globals looked up on every call.  ``t`` is
-    one step for the whole batch, or an int array with one step per row.
+    one step for the whole batch, or an int array of m steps over the n rows,
+    step k running rows [k n/m, (k + 1) n/m).
     """
     if kind == "ddpm":
         return ddpm_step(s, model, t, y, z), np.zeros(len(y), dtype=bool)

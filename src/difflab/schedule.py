@@ -109,12 +109,15 @@ class Schedule:
 
     def _check_t(self, t, lo: int, rows: int | None = None):
         """t as a step in [lo, T]: one integer, or for a batch of ``rows`` rows
-        also an int array of one step per row."""
-        if not (isinstance(t, np.ndarray) and t.shape == (rows,) and t.dtype.kind in "iu"):
+        also an int array of m >= 1 steps, m dividing rows, where step k runs
+        rows [k r, (k + 1) r) with r = rows / m (``per_row``)."""
+        if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype.kind in "iu"
+                and rows is not None and len(t) and rows % len(t) == 0):
             try:
                 t = operator.index(t)
             except TypeError:
-                raise InvalidParams(f"step must be one integer or one per row, got {t!r}") from None
+                runs = "" if rows is None else f" or an int array whose length divides {rows}"
+                raise InvalidParams(f"step must be one integer{runs}, got {t!r}") from None
         low, high = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
         if low < lo or high > self.T:
             raise InvalidParams(f"step index {t} outside [{lo}, {self.T}]")
@@ -157,8 +160,9 @@ def build_schedule(params: ScheduleParams) -> Schedule:
     sigma = np.full(T + 1, np.nan)
     sigma[2:] = np.sqrt(a - 1.0 / (3.0 - 2.0 * a))
     clip_radius = np.full(T + 1, np.nan)
-    clip_radius[2:] = (params.c_clip * (1.0 - a)
-                       * (params.d * math.log(T) / (1.0 - abar[2:])) ** 1.5)
+    with np.errstate(over="ignore"):  # an infinite radius never clips, as clip's > reads it
+        clip_radius[2:] = (params.c_clip * (1.0 - a)
+                           * (params.d * math.log(T) / (1.0 - abar[2:])) ** 1.5)
     return Schedule(params=params, alpha_bar=abar, alpha=alpha,
                     sigma=sigma, clip_radius=clip_radius)
 
@@ -228,19 +232,29 @@ def _as_batch(x, d: int) -> np.ndarray:
     return x
 
 
+def per_row(values: np.ndarray, t, rows: int):
+    """values[t] for a batch of ``rows`` rows and a t that ``_check_t`` passed:
+    one value for one step, or for an int array of m steps a column (rows, 1)
+    in which step k's value fills its run of rows [k r, (k + 1) r), r = rows / m."""
+    if isinstance(t, np.ndarray):
+        return np.repeat(values[t], rows // len(t))[:, None]
+    return values[t]
+
+
 def clip(s: Schedule, t, x: np.ndarray) -> np.ndarray:
     """Threshold each row of a batch x (n, d) by norm.
 
     Indicator semantics, not a projection: a row whose 2-norm exceeds the
     radius r_t maps to the zero vector, any other row is returned as is.
-    A row with a NaN norm is not over the radius, so it passes through.
-    t is one step for the batch, or an int array giving each row its own.
+    A row with a NaN norm is not over the radius, so it passes through, and
+    no row is over an infinite radius.  t is one step for the batch, or an
+    int array of steps, each over its own run of rows (``per_row``).
     """
     x = _as_batch(x, s.d)
-    s._check_t(t, lo=2, rows=len(x))
+    t = s._check_t(t, lo=2, rows=len(x))
     squares = x * x
     sums = squares[:, 0].copy()
     for column in squares.T[1:]:  # in coordinate order, so no memory order or d changes a bit
         sums += column
-    over = np.sqrt(sums) > s.clip_radius[t]
-    return np.where(over[:, None], 0.0, x)
+    over = np.sqrt(sums)[:, None] > per_row(s.clip_radius, t, len(x))
+    return np.where(over, 0.0, x)

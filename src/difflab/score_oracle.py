@@ -85,18 +85,26 @@ class ScoreModel:
     def _exact(self, t, x: np.ndarray) -> np.ndarray:
         """grad log p_t at the rows of a batch x (n, d), as a new array: the
         ``mixture_score`` of step t's marginal, or on a single-Gaussian target,
-        with t an int array of one step per row, -(x - m_t) P_t row by row."""
+        with t an int array of m steps, -(x - m_t) P_t of each step's run of
+        r = n / m rows as one (r, d) @ (d, d) product, with the bits of a call
+        at that step alone; like ``mixture_score``, a run of one row is
+        multiplied as two."""
         x = _as_batch(x, self.target.d)
         t = self.schedule._check_t(t, lo=1, rows=len(x) if self.target.K == 1 else None)
         means, precisions, log_coefs = self._stacks
         if isinstance(t, np.ndarray):
-            return -np.matmul((x - np.take(means[:, 0], t, axis=0))[:, None],
-                              np.take(precisions[:, 0], t, axis=0))[:, 0]
+            (n, d), m = x.shape, len(t)
+            r = n // m
+            diff = (x - np.repeat(np.take(means[:, 0], t, axis=0), r, axis=0)).reshape(m, r, d)
+            out = np.matmul(np.repeat(diff, 2, axis=1) if r == 1 else diff,
+                            np.take(precisions[:, 0], t, axis=0))
+            return np.negative(out[:, :r].reshape(n, d))
         return targets.mixture_score(means[t], precisions[t], log_coefs[t], x)
 
     def evaluate(self, t, x: np.ndarray) -> np.ndarray:
         """s_t at the rows of a batch x (n, d), as a batch (n, d).  t is one
-        step, or on a single-Gaussian target an int array of one step per row."""
+        step, or on a single-Gaussian target an int array of m steps, step k
+        running rows [k n/m, (k + 1) n/m)."""
         base = self._exact(t, x)
         if self.mode == "offset":
             base[:, 0] += self.level

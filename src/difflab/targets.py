@@ -13,6 +13,7 @@ samplers possible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,15 +29,31 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 def factor(weights, covariances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cholesky factors L, precisions P = C^-1 = L^-T L^-1 and log-coefficients
-    log w + log of the N(x; m, C) normalizer of covariances C (..., d, d) with
-    weights w, over any leading axes: the one factorization behind every mixture,
-    score stack and Gaussian divergence.  InvalidParams if C is not positive-definite."""
-    try:
-        chols = np.linalg.cholesky(covariances)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
-    del covariances  # a caller's stacked temporary is freed before the factors grow
-    chol_invs = np.linalg.inv(chols)
+    log w + log of the N(x; m, C) normalizer of float covariances C (..., d, d)
+    with weights w, over any leading axes: the one factorization behind every
+    mixture, score stack and Gaussian divergence.  InvalidParams if C is not
+    positive-definite.
+
+    A stack whose every off-diagonal entry is +0 is factored elementwise, as
+    L = diag sqrt(c) and L^-1 = diag 1 / sqrt(c), the bits LAPACK gives it."""
+    c = np.diagonal(covariances, axis1=-2, axis2=-1)
+    # the nonzero bit patterns all on the diagonal (-0 and NaN are nonzero), with
+    # no temporary the size of the stack
+    if np.count_nonzero(covariances.view(np.int64)) == np.count_nonzero(c.view(np.int64)):
+        if not np.all(c > 0.0):
+            raise InvalidParams("covariance not positive-definite: Matrix is not positive definite")
+        roots, shape = np.sqrt(c), covariances.shape
+        del c, covariances  # a caller's stacked temporary is freed before the factors grow
+        chols, chol_invs = np.zeros(shape), np.zeros(shape)
+        np.einsum("...ii->...i", chols)[...] = roots  # writable views of the diagonals
+        np.einsum("...ii->...i", chol_invs)[...] = 1.0 / roots
+    else:
+        try:
+            chols = np.linalg.cholesky(covariances)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidParams(f"covariance not positive-definite: {exc}") from exc
+        del c, covariances  # likewise
+        chol_invs = np.linalg.inv(chols)
     # symmetrized: the K = 1 score's (x - m) @ P is P (x - m)
     precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
     precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
@@ -209,6 +226,16 @@ def unit_directions(directions, d: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=1)  # sliced_tv's two calls share one direction stack
+def _projections(mix: GaussianMixture, directions: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Means and sds (m, K) of the components' 1-D laws N(u'm_k, u'C_k u)
+    along each unit row u of the float stack (m, d) whose bytes are given."""
+    u = np.frombuffer(directions).reshape(-1, mix.d)
+    # one direction at a time: a stacked u @ means.T rounds otherwise
+    return (np.array([mix.means @ v for v in u]),
+            np.sqrt([np.einsum("i,kij,j->k", v, mix.covariances, v) for v in u]))
+
+
 def projected_cdf(mix: GaussianMixture, directions, q) -> np.ndarray:
     """CDF (m, p) at each point q[i, j] of q (m, p) of the 1-D law of
     <directions[i], X> for X from the mixture, given ``unit_directions`` (m, d).
@@ -222,9 +249,7 @@ def projected_cdf(mix: GaussianMixture, directions, q) -> np.ndarray:
     q = np.ascontiguousarray(q, dtype=float)  # so z and its ndtr are point-major
     if q.ndim != 2 or len(q) != len(u):
         raise InvalidParams(f"q must hold one row of points per direction, got shape {q.shape}")
-    # one direction at a time: a stacked u @ means.T rounds otherwise
-    proj_means = np.array([mix.means @ v for v in u])
-    proj_sds = np.sqrt([np.einsum("i,kij,j->k", v, mix.covariances, v) for v in u])
+    proj_means, proj_sds = _projections(mix, u.tobytes())
     # point-major (m, p, K), so each point sums its components in a row: weights
     # @ ndtr(z) would round some K >= 3 sums differently; one point is summed
     # as two, as a one-row product rounds otherwise

@@ -292,3 +292,26 @@ def test_sample_csv_bytes_of_hand_placed_values(tmp_path, monkeypatch):
     assert lines[4] == "0.30000000000000004,2.2250738585072014e-308"
     parsed = np.array([[float(f) for f in line.split(",")] for line in lines[1:-1]])
     assert parsed.tobytes() == y1.tobytes()  # every value round-trips, signed zeros too
+
+
+def test_clip_constant_near_the_float_maximum(tmp_path):
+    # c_clip = 1e308 overflows the clip radius to inf without a warning: the
+    # schedule writes inf, and accelerated never clips, so its sample and its
+    # exact law are those of the no-clip sampler
+    target = write_target(tmp_path)
+    common = ["--T", "16", "--c0", "2", "--c1", "2", "--cclip", "1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["schedule", *common, "--d", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        for sampler in ("accelerated", "accelerated_noclip"):
+            for command, extra in (("sample", ["--n", "1000", "--seed", "3"]), ("analytic", [])):
+                assert main([command, "--sampler", sampler, "--target", target, *common,
+                             *extra, "--out", str(tmp_path / f"{command}_{sampler}.csv")]) == 0
+    radii = [line.split(",")[4] for line in (tmp_path / "s.csv").read_text().splitlines()[2:]]
+    assert radii == ["inf"] * 15
+    clipped = (tmp_path / "sample_accelerated.csv").read_text()
+    assert clipped.endswith("# clip_activations=0\n")
+    assert clipped == (tmp_path / "sample_accelerated_noclip.csv").read_text()
+    kls = [(tmp_path / f"analytic_{sampler}.csv").read_text().splitlines()[1].split(",")[3:]
+           for sampler in ("accelerated", "accelerated_noclip")]
+    assert kls[0] == kls[1]

@@ -317,7 +317,9 @@ def test_sweep_fuzz_ends_in_rows_or_one_error_line(target, samplers, T_grid, mod
             row = dict(zip(harness._FIELDS, values))
             failed = i + 1 < len(rows) and rows[i + 1].startswith("# cell_failed")
             filled = {f for f in METRIC_FIELDS if row[f]}
-            assert filled == (set() if failed else expected), line
+            # a failed cell keeps no field, or all but a moment_kl that failed
+            kept = [set(), expected - {"moment_kl"}] if "moment_kl" in expected else [set()]
+            assert filled in (kept if failed else [expected]), line
             assert all(math.isfinite(float(row[f])) for f in filled), line
 
 
@@ -332,6 +334,30 @@ def test_moment_kl_stays_finite_when_the_batch_spreads_far(tmp_path):
         report = run_sweep(cfg)
     kls = [row["moment_kl"] for row in report.rows]
     assert len(kls) == 6 and all(math.isfinite(kl) and kl > 100.0 for kl in kls)
+
+
+def test_a_batch_past_any_gaussian_fit_fails_with_its_other_fields_kept(tmp_path):
+    # offsets of 1e150 leave some batches' sample covariance numerically
+    # singular, and of +-1e200 overflow it: moment_kl is left empty, and the
+    # cell keeps the sliced_tv and clip_rate it computed but still fails, so
+    # its row stays out of the slope fit
+    for name, delta, failures in (("mixture_2d_three", 1e150, 4),
+                                  ("std_normal_2d", [1e200, -1e200], 12)):
+        cfg = make_config(tmp_path, target=str(CONFIG_DIR / f"{name}.json"), schedule={},
+                          T_grid=[16, 64], samplers=["accelerated", "ddpm", "ode"], n=1000,
+                          score={"mode": "offset", "delta": delta})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_sweep(cfg)
+        failed = [row for row in report.rows if row["error"] is not None]
+        assert len(failed) == failures
+        for row in failed:
+            assert row["error"].startswith("no Gaussian fits the batch's sample mean and covariance")
+            assert row["moment_kl"] is None
+            assert all(row[f] is not None for f in ("eps_score", "sliced_tv", "clip_rate"))
+        _, comments = read_rows(cfg.out)
+        assert sum(c.startswith("# cell_failed,") for c in comments) == failures
+        assert not any(c.startswith("# slope") for c in comments)
 
 
 def test_overflowing_steps_fail_their_cells_without_a_warning(tmp_path):

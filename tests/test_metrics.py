@@ -96,6 +96,18 @@ def test_sliced_tv_deterministic_given_stream():
     assert sliced_tv(batch, law, directions=dirs) == a
 
 
+def test_sliced_tv_projects_the_law_once_per_call():
+    # both CDF calls of one distance share each direction's projected means
+    # and sds; a new direction stack projects afresh
+    target, s, law = stationary_law()
+    batch = sample(law, 2000, np.random.default_rng(5))
+    targets._projections.cache_clear()
+    for seed in (9, 10):
+        sliced_tv(batch, law, n_dirs=6, stream=np.random.default_rng(seed))
+    info = targets._projections.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 def test_sliced_tv_too_few_samples():
     target, s, law = stationary_law()
     with pytest.raises(InvalidParams, match="samples"):

@@ -239,26 +239,31 @@ def gaussian_score(s, seed):
 
 @pytest.mark.parametrize("kind", ["accelerated", "accelerated_noclip", "ddpm", "ode"])
 def test_time_batched_step_matches_per_step_calls(kind):
-    # an int array t runs each row at its own step: the rows equal the
-    # per-t calls stacked back in row order; with clip on, the threshold
+    # an int array t of m steps runs step k over rows [k r, (k + 1) r): the
+    # rows equal the per-t calls stacked back in row order, at d = 4 as at
+    # d = 2 and for runs of one row as of three; with clip on, the threshold
     # acts row by row at each row's own radius
-    s = build_schedule(ScheduleParams(T=12, c0=2.0, c1=2.0, c_clip=0.2, d=2))
-    score = gaussian_score(s, 9)
-    rng = np.random.default_rng(10)
-    n = 400
-    t = rng.integers(2, s.T + 1, size=n)
-    y, z_mid, z = 2.0 * rng.standard_normal((3, n, 2))
-    batched, clipped = step(kind, s, score, t, y, z_mid, z)
-    stacked = np.empty_like(batched)
-    stacked_clipped = np.empty_like(clipped)
-    for k in np.unique(t):
-        rows = t == k
-        stacked[rows], stacked_clipped[rows] = step(kind, s, score, int(k), y[rows],
-                                                    z_mid[rows], z[rows])
-    assert np.array_equal(batched, stacked)
-    assert np.array_equal(clipped, stacked_clipped)
-    if kind == "accelerated":
-        assert 0 < np.count_nonzero(clipped) < n
+    for d, r in ((2, 1), (4, 1), (2, 3), (4, 3)):
+        s = build_schedule(ScheduleParams(T=12, c0=2.0, c1=2.0, c_clip=0.4 / d, d=d))
+        score = gaussian_score(s, 9)
+        rng = np.random.default_rng(10)
+        n = 132 * r if r > 1 else 400
+        t = rng.integers(2, s.T + 1, size=n // r)
+        y, z_mid, z = 2.0 * rng.standard_normal((3, n, d))
+        batched, clipped = step(kind, s, score, t, y, z_mid, z)
+        stacked = np.empty_like(batched)
+        stacked_clipped = np.empty_like(clipped)
+        for k in np.unique(t):
+            rows = np.repeat(t, r) == k
+            stacked[rows], stacked_clipped[rows] = step(kind, s, score, int(k), y[rows],
+                                                        z_mid[rows], z[rows])
+        assert np.array_equal(batched, stacked)
+        assert np.array_equal(clipped, stacked_clipped)
+        if kind == "accelerated":
+            assert 0 < np.count_nonzero(clipped) < n
+    # a step array whose length does not divide the rows is refused
+    with pytest.raises(InvalidParams, match="whose length divides 6"):
+        step(kind, s, score, np.array([2, 3, 4, 5]), *np.zeros((3, 6, s.d)))
 
 
 @pytest.mark.parametrize("kind", ["accelerated", "accelerated_noclip", "ddpm", "ode"])

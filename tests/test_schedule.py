@@ -268,14 +268,15 @@ def test_step_index_range_at_every_entry_point():
     for t in (0, 5, np.array([0, 2]), np.array([3, 5])):
         with pytest.raises(InvalidParams, match="outside"):
             model.evaluate(t, x)
-    # a per-row t has one integer step for each row of the batch
-    for t in (2.0, "3", None, np.array([2.0, 3.0]), np.array([2]), np.array([2, 3, 4])):
-        with pytest.raises(InvalidParams, match="one integer or one per row"):
+    # an array t holds integer steps, as many as divide the batch's rows
+    for t in (2.0, "3", None, np.array([2.0, 3.0]), np.array([2, 3, 4]),
+              np.array([], dtype=int), np.array([[2, 3]])):
+        with pytest.raises(InvalidParams, match="one integer or an int array"):
             clip(s, t, x)
         for kind in KINDS:
-            with pytest.raises(InvalidParams, match="one integer or one per row"):
+            with pytest.raises(InvalidParams, match="one integer or an int array"):
                 step(kind, s, model, t, x, x, x)
-        with pytest.raises(InvalidParams, match="one integer or one per row"):
+        with pytest.raises(InvalidParams, match="one integer or an int array"):
             model.evaluate(t, x)
 
 

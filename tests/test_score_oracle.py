@@ -212,14 +212,23 @@ def test_step_index_must_be_one_integer():
     gauss = ScoreModel("offset", correlated_gaussian(), s, 0.3)
     mix = ScoreModel("offset", two_component_2d(), s, 0.3)
     y = np.array([[0.3, -0.4], [1.2, 0.8], [-0.5, 2.0]])
-    # on one Gaussian an int array t runs each row at its own step, with the
-    # bits of the per-row calls
-    t = np.array([2, 16, 7])
-    rows = gauss.evaluate(t, y)
-    for i in range(3):
-        assert np.array_equal(rows[i], gauss.evaluate(int(t[i]), y[i:i + 1])[0])
-    with pytest.raises(InvalidParams):  # one step per row, not one for all rows
-        gauss.evaluate(np.array([3]), y)
+    # on one Gaussian an int array of m steps runs step k over its run of rows
+    # [k r, (k + 1) r), with the bits of a call at that step alone, at d = 4 as
+    # at d = 2, for runs of one row and of three
+    rng = np.random.default_rng(6)
+    for d, r in ((2, 1), (4, 1), (2, 3), (4, 3)):
+        root = rng.standard_normal((d, d))
+        model = ScoreModel("offset", gaussian_target(rng.standard_normal(d),
+                                                     root @ root.T + 0.5 * np.eye(d)),
+                           setup_schedule(d=d), 0.3)
+        t = rng.integers(1, 17, size=400 // r)
+        x = 2.0 * rng.standard_normal((len(t) * r, d))
+        runs = model.evaluate(t, x)
+        for k in range(len(t)):
+            rows = slice(k * r, (k + 1) * r)
+            assert np.array_equal(runs[rows], model.evaluate(int(t[k]), x[rows]))
+    with pytest.raises(InvalidParams):  # as many steps as divide the rows
+        gauss.evaluate(np.array([3, 4]), y)
     # a mixture's score takes one step per call; a per-row t is refused
     with pytest.raises(InvalidParams):
         samplers.step("ddpm", s, mix, np.array([2, 3, 4]), y, None, np.zeros_like(y))

@@ -126,6 +126,29 @@ def test_factor_matches_a_per_component_scipy_reference():
         factor(np.ones(2), np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
 
 
+def test_diagonal_stack_factors_with_the_bits_of_lapack():
+    # a stack whose covariances are all diagonal is factored elementwise; one
+    # non-diagonal sentinel appended sends the same stack through LAPACK, and
+    # every bit agrees, the sign of each zero included
+    rng = np.random.default_rng(43)
+    for d in range(1, 5):
+        for K in (1, 3):
+            covs = np.zeros((9, K, d, d))
+            covs[..., range(d), range(d)] = np.exp(rng.uniform(-20.0, 20.0, (9, K, d)))
+            sentinel = np.eye(d) + np.tril(np.full((d, d), 0.25), -1)
+            sentinel = np.broadcast_to(0.5 * (sentinel + sentinel.T), (1, K, d, d))
+            weights = np.full(K, 1.0 / K)
+            fast = factor(weights, covs)
+            slow = factor(weights, np.concatenate([covs, sentinel]))
+            for got, ref in zip(fast, slow):
+                assert np.array_equal(got.view(np.uint64), ref[:9].view(np.uint64))
+            # a zero, negative or NaN diagonal entry is refused as Cholesky refuses it
+            for bad in (0.0, -0.0, -1.0, np.nan):
+                covs[4, K - 1, d - 1, d - 1] = bad
+                with pytest.raises(InvalidParams, match="positive-definite"):
+                    factor(weights, covs)
+
+
 def test_second_moment_bound():
     gm = two_component_1d()
     expected = 0.3 * (0.5 + 4.0) + 0.7 * (1.2 + 2.25)
