@@ -10,9 +10,11 @@ A score model is one (mode, level) pair over a target and a schedule:
             first coordinate axis.  The per-step root-mean-square error is
             |delta| exactly, since the perturbation does not depend on x.
   relative  s_t(x) = (1 + rho) * exact, with rho the level.  The per-step
-            error is |rho| * sqrt(E||s_t(X_t)||^2), estimated by Monte Carlo.
+            error is |rho| * sqrt(E||s_t(X_t)||^2): exact on a single
+            Gaussian, a fixed-stream estimate on a mixture.
 
-The aggregate error is eps_score = sqrt(mean over t of eps_t^2).
+The aggregate error is eps_score = sqrt(mean over t of eps_t^2), a number of
+the model alone.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ MODES = ("exact", "offset", "relative")
 # schedule -> {target: stacks}, shared by models; gone with the schedule
 _SHARED_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-@dataclass(frozen=True)
-class EpsReport:
-    """Aggregate score error and its Monte Carlo stderr."""
-
-    eps_score: float
-    stderr: float = 0.0
+_EPS_DRAWS = 4096  # fresh draws of X_t per step for a mixture's J_t
 
 
 @dataclass(frozen=True)
@@ -112,38 +108,29 @@ class ScoreModel:
             base *= 1.0 + self.level
         return base
 
-    def eps_score(self, mc_samples: int = 0,
-                  stream: np.random.Generator | None = None) -> EpsReport:
+    def eps_score(self) -> float:
         """Root-mean-square per-step error aggregated over the horizon.
 
-        Exact and offset modes report |level| exactly and ignore both
-        arguments; relative mode estimates E||s_t(X_t)||^2 with
-        ``mc_samples`` draws per step, reports the delta-method standard
-        error of the aggregate, and raises InvalidParams if the aggregate
-        is not finite.
+        Exact and offset modes report |level|.  Relative mode reports
+        sqrt(rho^2 * mean over t = 1..T of J_t), J_t = E||s_t(X_t)||^2: tr P_t
+        on a single Gaussian, where X_t - m_t has covariance P_t^-1; on a
+        mixture the mean over ``_EPS_DRAWS`` draws sqrt(abar_t) X_0 +
+        sqrt(1 - abar_t) Z, fresh at each t from a stream of fixed seed.
+        InvalidParams if the aggregate is not finite.
         """
-        T = self.schedule.T
         if self.mode != "relative":
-            return EpsReport(abs(self.level))
-        if mc_samples < 1:
-            raise InvalidParams("relative mode needs mc_samples >= 1")
-        if stream is None:
-            raise InvalidParams("relative mode needs a random stream")
-        mean_sq = np.empty(T)
-        var_sq = np.empty(T)
-        for t in range(1, T + 1):
-            law = targets.forward_marginal(self.target, self.schedule, t)
-            draws = targets.sample(law, mc_samples, stream)
-            sq = np.sum(self._exact(t, draws) ** 2, axis=1)
-            mean_sq[t - 1] = sq.mean()
-            var_sq[t - 1] = sq.var(ddof=1) / mc_samples if mc_samples > 1 else 0.0
-        level = np.float64(self.level)
+            return abs(self.level)
+        if self.target.K == 1:
+            j = np.trace(self._stacks[1][1:, 0], axis1=1, axis2=2)
+        else:
+            stream, abar = np.random.default_rng(0), self.schedule.alpha_bar
+            j = np.empty(self.schedule.T)
+            for t in range(1, self.schedule.T + 1):
+                x = np.sqrt(abar[t]) * targets.sample(self.target, _EPS_DRAWS, stream)
+                x += np.sqrt(1.0 - abar[t]) * stream.standard_normal(x.shape)
+                j[t - 1] = np.mean(np.sum(self._exact(t, x) ** 2, axis=1))
         with np.errstate(over="ignore", invalid="ignore"):
-            eps = float(np.sqrt(level**2 * np.mean(mean_sq)))
-            # stderr of sqrt(mean of rho^2 * mean_sq): delta method
-            var_mean = float(level**4 * np.sum(var_sq)) / T**2
+            eps = float(np.sqrt(np.float64(self.level) ** 2 * np.mean(j)))
         if not np.isfinite(eps):
             raise InvalidParams(f"relative score error is not finite at rho = {self.level!r}")
-        stderr = 0.5 * np.sqrt(var_mean) / eps if eps > 0 else 0.0
-        return EpsReport(eps, stderr)
-
+        return eps

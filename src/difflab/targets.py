@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams, TargetLoadFailed
-from .schedule import Schedule, _as_batch, as_integer
+from .schedule import Schedule, _as_batch, as_integer, is_real
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -32,7 +32,7 @@ def factor(weights, covariances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     log w + log of the N(x; m, C) normalizer of float covariances C (..., d, d)
     with weights w, over any leading axes: the one factorization behind every
     mixture, score stack and Gaussian divergence.  InvalidParams if C is not
-    positive-definite.
+    positive-definite or an entry of P overflows.
 
     A stack whose every off-diagonal entry is +0 is factored elementwise, as
     L = diag sqrt(c) and L^-1 = diag 1 / sqrt(c), the bits LAPACK gives it."""
@@ -55,8 +55,12 @@ def factor(weights, covariances: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         del c, covariances  # likewise
         chol_invs = np.linalg.inv(chols)
     # symmetrized: the K = 1 score's (x - m) @ P is P (x - m)
-    precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
-    precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        precisions = np.matmul(np.swapaxes(chol_invs, -1, -2), chol_invs)
+        precisions = 0.5 * (precisions + np.swapaxes(precisions, -1, -2))
+    if not np.isfinite(precisions).all():
+        index = np.argwhere(~np.isfinite(precisions))[0, :-2].tolist()
+        raise InvalidParams(f"precision (inverse covariance) at stack index {index} overflows")
     log_dets = 2.0 * np.log(np.abs(np.diagonal(chols, axis1=-2, axis2=-1))).sum(axis=-1)
     log_coefs = np.log(weights) - 0.5 * (chols.shape[-1] * _LOG_2PI + log_dets)
     return chols, precisions, log_coefs
@@ -258,11 +262,22 @@ def projected_cdf(mix: GaussianMixture, directions, q) -> np.ndarray:
     return (probs @ mix.weights)[:q.size].reshape(q.shape)
 
 
+def _reals(value, name: str, scalar: bool = False) -> np.ndarray:
+    """A target file's number, or nested lists of them, as a float array;
+    InvalidParams unless every entry ``is_real`` (true, "1" and 10**400 are
+    not) and, with ``scalar``, the value is one number."""
+    entries = np.asarray(value, dtype=object)
+    if not all(map(is_real, entries.flat)) or (scalar and entries.ndim):
+        raise InvalidParams(f"target {name} must be finite real numbers, got {value!r}")
+    return entries.astype(float)
+
+
 def load_target(path: str) -> GaussianMixture:
     """Load a mixture from a JSON target file.
 
     Schema: {"d": int, "components": [{"weight": f, "mean": [f...],
-    "cov": [[f...]...]}]}; "cov_scale": f is shorthand for scale * I.
+    "cov": [[f...]...]}]}; "cov_scale": f is shorthand for scale * I.  Every
+    f follows ``schedule.is_real``.
     """
     try:
         with open(path) as fh:
@@ -272,10 +287,10 @@ def load_target(path: str) -> GaussianMixture:
     try:
         d = as_integer(raw["d"], "d", 1)
         comps = raw["components"]
-        weights = np.array([c["weight"] for c in comps], dtype=float)
-        means = np.array([c["mean"] for c in comps], dtype=float).reshape(len(comps), d)
-        covs = [float(c["cov_scale"]) * np.eye(d) if "cov_scale" in c
-                else np.asarray(c["cov"], dtype=float).reshape(d, d) for c in comps]
+        weights = _reals([c["weight"] for c in comps], "weight")
+        means = _reals([c["mean"] for c in comps], "mean").reshape(len(comps), d)
+        covs = [_reals(c["cov_scale"], "cov_scale", scalar=True) * np.eye(d) if "cov_scale" in c
+                else _reals(c["cov"], "cov").reshape(d, d) for c in comps]
         return GaussianMixture(weights, means, np.stack(covs))
     except (KeyError, TypeError, ValueError, InvalidParams) as exc:
         raise TargetLoadFailed(f"malformed target file {path!r}: {exc}") from exc

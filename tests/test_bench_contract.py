@@ -122,7 +122,7 @@ def test_package_names_resolve_after_a_bare_import():
             "from difflab import analytic, build_schedule, targets, ScheduleParams\n")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -215,10 +215,19 @@ def test_sample_refuses_an_unopenable_output_before_any_step(tmp_path, capsys, m
 @pytest.mark.parametrize("component", [
     {"weight": 1.0, "mean": [math.nan, 0.0], "cov_scale": 1.0},
     {"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, math.inf]]},
-], ids=["nan_mean", "inf_cov"])
+    {"weight": 1.0, "mean": [10**400, 0.0], "cov_scale": 1.0},
+    {"weight": 1.0, "mean": [0.0, 0.0], "cov": [[10**400, 0.0], [0.0, 1.0]]},
+    {"weight": True, "mean": [0.0, 0.0], "cov_scale": 1.0},
+    {"weight": 1.0, "mean": ["0", False], "cov_scale": 1.0},
+    {"weight": 1.0, "mean": [0.0, 0.0], "cov_scale": "1"},
+    {"weight": 1.0, "mean": [0.0, 0.0], "cov_scale": 1e-320},
+], ids=["nan_mean", "inf_cov", "huge_int_mean", "huge_int_cov", "bool_weight",
+        "string_mean", "string_cov_scale", "overflowing_precision"])
 def test_non_finite_target_is_refused_before_any_csv(tmp_path, capsys, command, component):
     # refused at load: no scipy traceback from analytic, no full sampler run
-    # ending in non-finite outputs, and no numpy warning on the way
+    # ending in non-finite outputs, and no numpy warning on the way; a number
+    # follows schedule.is_real (so 10**400, true and "1" are refused), and a
+    # covariance whose precision overflows float64 (1e-320 I) is refused too
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"d": 2, "components": [component]}))
     out = tmp_path / "out.csv"

@@ -578,6 +578,21 @@ def test_relative_score_sweep(tmp_path):
     assert data["parallel"] == data["first"]
 
 
+def test_relative_eps_is_one_number_per_level(tmp_path):
+    # a relative cell's eps_score is a number of the score model: two samplers
+    # at one (T, rho) on a mixture give the same bits, serially and pooled
+    grid = dict(target=MIXTURE_TARGET, samplers=["ddpm", "accelerated"], T_grid=[8], n=1000,
+                score={"mode": "relative", "rho": [0.1, -0.3]})
+    eps = {}
+    for jobs in (1, 2):
+        cfg = make_config(tmp_path, out=str(tmp_path / f"jobs{jobs}.csv"), **grid)
+        rows = run_sweep(cfg, jobs=jobs).rows
+        assert [r["error"] for r in rows] == [None] * 4
+        eps[jobs] = [r["eps_score"].hex() for r in rows]  # ddpm's two levels, then accelerated's
+    assert eps[1][:2] == eps[1][2:] and eps[1][0] != eps[1][1]
+    assert eps[2] == eps[1]
+
+
 def test_all_rows_complete(tmp_path):
     cfg = make_config(tmp_path, T_grid=[8, 16], samplers=["ode", "ddpm", "accelerated"],
                       mc=True)

@@ -4,14 +4,7 @@ import pytest
 from difflab import analytic, metrics, samplers
 from difflab.errors import ConfigInvalid, InvalidParams, UnsupportedKind
 from difflab.harness import ExperimentConfig
-from difflab.schedule import ScheduleParams, build_schedule
-from difflab.score_oracle import ScoreModel
 from difflab.targets import GaussianMixture, standard_normal_target
-
-
-def relative_model():
-    s = build_schedule(ScheduleParams(T=8, c0=2.0, c1=2.0, d=2))
-    return ScoreModel("relative", standard_normal_target(2), s, 0.1)
 
 
 def sweep_dict(**changes):
@@ -36,10 +29,6 @@ REFUSALS = {
     "step_unknown_kind": (lambda tmp: samplers.step(
         "euler", None, None, 2, np.zeros((1, 2)), None, None),
         UnsupportedKind, "unknown sampler kind 'euler'"),
-    "relative_eps_no_samples": (lambda tmp: relative_model().eps_score(
-        0, np.random.default_rng(0)), InvalidParams, "mc_samples >= 1"),
-    "relative_eps_no_stream": (lambda tmp: relative_model().eps_score(10),
-                               InvalidParams, "needs a random stream"),
     "T_grid_not_a_list": (lambda tmp: ExperimentConfig.from_dict(sweep_dict(T_grid=5)),
                           ConfigInvalid, "bad sweep config"),
     "samplers_not_a_list": (lambda tmp: ExperimentConfig.from_dict(sweep_dict(samplers=5)),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from difflab import samplers, targets
+from difflab import samplers, score_oracle, targets
 from difflab.errors import InvalidParams
 from difflab.schedule import ScheduleParams, build_schedule
 from difflab.score_oracle import ScoreModel
@@ -47,25 +48,58 @@ def test_relative_mode_rho_zero_degenerate():
 def test_eps_score_exact_zero():
     s = setup_schedule()
     model = ScoreModel("exact", standard_normal_target(2), s)
-    report = model.eps_score()
-    assert report.eps_score == 0.0
+    assert model.eps_score() == 0.0
 
 
 def test_eps_score_constant_offset():
     s = setup_schedule()
     model = ScoreModel("offset", standard_normal_target(2), s, 0.2)
-    assert model.eps_score().eps_score == pytest.approx(0.2, abs=1e-15)
+    assert model.eps_score() == pytest.approx(0.2, abs=1e-15)
 
 
-def test_eps_score_relative_monte_carlo():
-    # stationary standard normal: E||s_t(X_t)||^2 = d exactly, so
-    # eps_t = |rho| * sqrt(d) at every step
-    s = setup_schedule(T=8, d=3)
-    model = ScoreModel("relative", standard_normal_target(3), s, 0.1)
-    report = model.eps_score(mc_samples=20_000, stream=np.random.default_rng(5))
-    expected = 0.1 * math.sqrt(3.0)
-    assert abs(report.eps_score - expected) < 4 * max(report.stderr, 1e-4)
-    assert report.stderr > 0
+def correlated_gaussian_3d():
+    a = np.random.default_rng(3).standard_normal((3, 3))
+    return gaussian_target([0.4, -2.0, 1.1], a @ a.T + 0.3 * np.eye(3))
+
+
+def test_eps_score_relative_closed_form_on_a_gaussian():
+    # s_t(X_t) = -P_t (X_t - m_t) with X_t - m_t of covariance P_t^-1, so
+    # E||s_t(X_t)||^2 = tr P_t exactly and eps = |rho| sqrt(mean over t of
+    # tr P_t)
+    for target, T in itertools.product([standard_normal_target(3), correlated_gaussian_3d()],
+                                       [8, 300]):
+        s = setup_schedule(T=T, d=3)
+        traces = [np.trace(np.linalg.inv(targets.forward_marginal(target, s, t).covariances[0]))
+                  for t in range(1, T + 1)]
+        expected = 0.1 * math.sqrt(np.mean(traces))
+        eps = ScoreModel("relative", target, s, -0.1).eps_score()
+        assert type(eps) is float
+        assert abs(eps - expected) <= 1e-15 * expected
+        if target.covariances[0, 0, 1] == 0.0:  # N(0, I_3): every P_t is I to rounding
+            assert abs(eps - 0.1 * math.sqrt(3.0)) <= 1e-15 * eps
+
+
+def test_eps_score_relative_mixture_matches_a_large_sample_estimate():
+    # K = 3: the model's fixed-stream estimate of E||s_t(X_t)||^2 agrees with
+    # an independent one, drawn from each step's forward marginal and scored
+    # by targets.score, within 5 standard errors of their difference
+    target = random_mixture(np.random.default_rng(8), 2, 3)
+    s = setup_schedule(T=32, d=2)
+    rng, n_ref = np.random.default_rng(21), 100_000
+    means, variances = [], []
+    for t in range(1, s.T + 1):
+        law = targets.forward_marginal(target, s, t)
+        sq = np.sum(targets.score(law, targets.sample(law, n_ref, rng)) ** 2, axis=1)
+        means.append(sq.mean())
+        variances.append(sq.var())
+    var_mean = np.sum(variances) * (1.0 / n_ref + 1.0 / score_oracle._EPS_DRAWS) / s.T**2
+    reference = 0.3 * math.sqrt(np.mean(means))
+    stderr = 0.5 * 0.3 * math.sqrt(var_mean / np.mean(means))  # delta method
+    eps = ScoreModel("relative", target, s, 0.3).eps_score()
+    assert abs(eps - reference) < 5 * stderr
+    # a number of the model: a new model over the same target and schedule
+    # gives the same bits
+    assert ScoreModel("relative", target, s, 0.3).eps_score() == eps
 
 
 def test_offset_error_is_exact_not_statistical():
@@ -283,15 +317,15 @@ def test_offset_eps_score_is_the_level_exactly(T, delta):
     # no square and root: sqrt(mean(delta^2)) is 0.04097352393619468 at T = 83,
     # and inf at delta = 1e200
     model = ScoreModel("offset", standard_normal_target(2), setup_schedule(T=T), delta)
-    report = model.eps_score()
-    assert report.eps_score == abs(delta)
+    assert model.eps_score() == abs(delta)
 
 
 def test_relative_eps_score_refuses_a_non_finite_aggregate():
     s = setup_schedule(T=8)
-    model = ScoreModel("relative", standard_normal_target(2), s, 1e308)
-    with pytest.raises(InvalidParams, match="not finite"):
-        model.eps_score(mc_samples=10, stream=np.random.default_rng(0))
+    for target in (standard_normal_target(2), two_component_2d()):
+        model = ScoreModel("relative", target, s, 1e308)
+        with pytest.raises(InvalidParams, match="relative score error is not finite"):
+            model.eps_score()
 
 
 @pytest.mark.parametrize("K", [1, 3])

@@ -21,11 +21,13 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 def child_env():
     """The environment of a child run in another directory: a relative
     PYTHONPATH entry (such as ``src``) would not resolve there, so the
-    child gets absolute paths instead."""
+    child gets absolute paths instead; a numpy warning fails the child, as
+    it fails an in-process test."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(difflab.__file__)))
     inherited = [os.path.abspath(p)
                  for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir] + inherited))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir] + inherited),
+                PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def shipped_targets():

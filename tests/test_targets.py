@@ -126,6 +126,18 @@ def test_factor_matches_a_per_component_scipy_reference():
         factor(np.ones(2), np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
 
 
+@pytest.mark.parametrize("off_diagonal", [0.0, 1e-321], ids=["diagonal", "lapack"])
+def test_overflowing_precision_is_refused_by_its_index(off_diagonal):
+    # 1e-320 I has a finite Cholesky factor, but P = L^-T L^-1 passes the
+    # float maximum: refused on either path with the stack index of the
+    # overflowing precision, and no numpy warning on the way
+    tiny = np.array([[1e-320, off_diagonal], [off_diagonal, 1e-320]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParams, match=r"precision .* at stack index \[1, 0\] overflows"):
+            factor(np.ones(1), np.stack([[np.eye(2)], [tiny]]))
+
+
 def test_diagonal_stack_factors_with_the_bits_of_lapack():
     # a stack whose covariances are all diagonal is factored elementwise; one
     # non-diagonal sentinel appended sends the same stack through LAPACK, and
